@@ -1,9 +1,12 @@
 // Convergence-plane performance benchmarks (google-benchmark): cold-starting
 // one regional prefix's event-driven simulator, a withdraw/restore transient
-// pair from the quiesced state, and a full deployment-wide plane step. The
-// JSON baseline lives in bench/BENCH_perf_convergence.json and CI gates on
-// these counters via tools/check_bench_regression.py --require.
+// pair from the quiesced state, a full deployment-wide plane step, and
+// building plus cold-starting a whole plane on a hub-heavy world. The JSON
+// baseline lives in bench/BENCH_perf_convergence.json and CI gates on these
+// counters via tools/check_bench_regression.py --require.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "ranycast/cdn/catalog.hpp"
 #include "ranycast/converge/plane.hpp"
@@ -85,5 +88,34 @@ void BM_ConvergePlaneStep(benchmark::State& state) {
                           static_cast<std::int64_t>(probes.size()));
 }
 BENCHMARK(BM_ConvergePlaneStep)->Unit(benchmark::kMillisecond);
+
+void BM_ConvergePlaneBuild(benchmark::State& state) {
+  // Plane construction (one shared session index, one sim per regional
+  // prefix) plus the cold start of every region. The world is large enough
+  // for its top hub to reach degree >= 1,000, where a per-session scan of
+  // the neighbour's edge list (O(sum of degree^2)) would dominate.
+  lab::LabConfig config;
+  config.world.stub_count = 25'000;
+  config.census.total_probes = 5000;
+  auto laboratory = lab::Lab::create(config);
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  std::size_t top_degree = 0;
+  for (const topo::AsNode& node : laboratory.world().graph.nodes()) {
+    top_degree = std::max(top_degree, node.edges.size());
+  }
+  if (top_degree < 1000) {
+    state.SkipWithError("world's top hub has degree < 1000");
+    return;
+  }
+  for (auto _ : state) {
+    converge::Plane plane(laboratory, im6, converge::Config{});
+    plane.rebuild();
+    benchmark::DoNotOptimize(plane.region_count());
+  }
+  state.counters["top_hub_degree"] = static_cast<double>(top_degree);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(laboratory.world().graph.nodes().size()));
+}
+BENCHMARK(BM_ConvergePlaneBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -382,6 +382,7 @@ const traffic::FlowSet& Engine::current_flows() {
 }
 
 traffic::TrafficSolve Engine::solve_traffic(const std::vector<ProbeView>& views) {
+  obs::Span span("chaos.traffic_solve");
   const traffic::FlowSet& flows = current_flows();
   const auto& dep = handle_->deployment;
   const std::size_t regions = dep.regions().size();

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <span>
@@ -104,12 +105,56 @@ std::vector<std::uint32_t> forwarding_cycle(std::span<const std::int32_t> next_h
                                             std::uint32_t start);
 }  // namespace detail
 
+/// The BGP sessions of a graph: for every directed edge (node i, edge j),
+/// the neighbour's dense index and the index of the reverse edge in the
+/// neighbour's edge list. Stored CSR-style — per-node offsets, then one
+/// entry per directed edge in edge-list order — and built in O(V+E) by
+/// bucketing edges by target. It covers structure only (link up/down state
+/// is read from the graph on every step), so one index serves every
+/// region's PrefixSim over the same graph for as long as no adjacency is
+/// added or removed.
+class SessionIndex {
+ public:
+  struct Session {
+    std::uint32_t peer{0};     ///< neighbour's dense node index
+    std::uint32_t reverse{0};  ///< edge index of the reverse direction at `peer`
+  };
+
+  /// Throws std::logic_error when an edge names an unknown AS or has no
+  /// reverse edge: Graph::add_transit/add_peering always add both
+  /// directions, so either means a broken graph invariant.
+  explicit SessionIndex(const topo::Graph& graph);
+
+  std::size_t node_count() const noexcept { return offsets_.size() - 1; }
+  std::size_t session_count() const noexcept { return sessions_.size(); }
+  /// Flat slot of `node`'s edge 0; its sessions fill [offset(node),
+  /// offset(node + 1)).
+  std::uint32_t offset(std::size_t node) const noexcept { return offsets_[node]; }
+  std::uint32_t degree(std::size_t node) const noexcept {
+    return offsets_[node + 1] - offsets_[node];
+  }
+  const Session& at(std::size_t node, std::size_t edge) const noexcept {
+    return sessions_[offsets_[node] + edge];
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;
+  std::vector<Session> sessions_;
+};
+
 class PrefixSim {
  public:
   /// The graph must outlive the sim. `seed` is the solver tie-break seed of
   /// the same prefix — hash_combine(lab seed, region index) — so quiesced
-  /// tie-breaks are bit-equal to the steady-state solve.
+  /// tie-breaks are bit-equal to the steady-state solve. Builds a private
+  /// SessionIndex of the graph.
   PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed, const Config& cfg);
+
+  /// Same, over a SessionIndex of `graph` shared with other sims (one per
+  /// regional prefix). Throws std::invalid_argument when the index does
+  /// not match the graph's size.
+  PrefixSim(const topo::Graph& graph, std::shared_ptr<const SessionIndex> index,
+            Asn cdn_asn, std::uint64_t seed, const Config& cfg);
 
   /// Reset all routing state and converge from scratch on the graph's
   /// current link state and the given originations.
@@ -142,6 +187,13 @@ class PrefixSim {
 
   /// Per-AS timelines of the most recent run, indexed by dense node index.
   std::span<const NodeTimeline> timelines() const noexcept { return timelines_; }
+
+  /// Nodes in the path arena. run_step() ends by compacting the arena down
+  /// to the paths of live routes, so after a step this is ≤ rib_hops().
+  std::size_t path_nodes() const noexcept { return arena_.size(); }
+  /// Hops of every live route (seeds, Adj-RIB-In/Out, best), counted per
+  /// route without sharing.
+  std::size_t rib_hops() const noexcept;
 
  private:
   /// One route candidate in the frame of the node holding it; attribute
@@ -179,7 +231,6 @@ class PrefixSim {
   };
 
   struct NodeState {
-    std::vector<AdjState> adj;  ///< parallel to the graph node's edge list
     std::vector<std::pair<bgp::OriginAttachment, Cand>> seeds;
     Cand best{};
     std::uint64_t proc_delay_us{0};
@@ -210,6 +261,13 @@ class PrefixSim {
   bool path_contains(std::uint32_t path, Asn asn) const noexcept;
   std::uint64_t mrai_us(std::size_t node, std::size_t edge) const noexcept;
   std::uint64_t link_delay_us(std::size_t node, std::size_t edge) const noexcept;
+  /// The node's sessions, parallel to its graph edge list.
+  std::span<AdjState> adj_of(std::size_t node) noexcept {
+    return {adj_.data() + index_->offset(node), index_->degree(node)};
+  }
+  AdjState& adj(std::size_t node, std::size_t edge) noexcept {
+    return adj_[index_->offset(node) + edge];
+  }
 
   void push(Event e);
   void schedule_send(std::size_t node, std::size_t edge, std::uint64_t now);
@@ -226,8 +284,7 @@ class PrefixSim {
   void sync_overlay_with_graph();
   void reset_epoch_controls();
   void compact_arena();
-  std::uint32_t reintern(const bgp::PathArena& from, std::uint32_t path,
-                         bgp::PathArena& into) const;
+  std::uint32_t reintern(std::uint32_t path, bgp::PathArena& into);
   RegionTransient drain();
   RegionTransient finalize(RegionTransient out);
 
@@ -237,13 +294,16 @@ class PrefixSim {
   Config cfg_;
   std::uint64_t budget_;
 
+  std::shared_ptr<const SessionIndex> index_;
   bgp::PathArena arena_;
   std::vector<NodeState> nodes_;
+  std::vector<AdjState> adj_;  ///< one per directed edge, at the index's slots
   std::vector<std::int32_t> next_hop_;  ///< -1 none, -2 origin, else node index
   std::vector<NodeTimeline> timelines_;
-  /// mirror_[i][j] = (neighbor dense index, edge index of the reverse
-  /// direction at the neighbor); precomputed once.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> mirror_;
+  // compaction scratch, reused across runs: old arena id -> new id (kNone
+  // while unvisited), and the unvisited suffix of the path being moved
+  std::vector<std::uint32_t> remap_;
+  std::vector<std::uint32_t> chain_;
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::uint64_t seq_{0};

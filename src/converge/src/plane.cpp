@@ -7,6 +7,7 @@
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
+#include "ranycast/obs/span.hpp"
 
 namespace ranycast::converge {
 
@@ -57,17 +58,23 @@ std::vector<std::vector<OriginDelta>> diff_origins(
 
 Plane::Plane(const lab::Lab& lab, const lab::DeploymentHandle& handle, const Config& cfg)
     : lab_(lab), handle_(handle), cfg_(cfg) {
+  obs::Span span("converge.plane.build");
   const cdn::Deployment& dep = handle_.deployment;
-  sims_.reserve(dep.regions().size());
-  for (std::size_t r = 0; r < dep.regions().size(); ++r) {
+  const topo::Graph& graph = lab_.world().graph;
+  // Every region's prefix runs over the same adjacencies: one session index
+  // serves them all.
+  const auto index = std::make_shared<const SessionIndex>(graph);
+  sims_.resize(dep.regions().size());
+  exec::ThreadPool::global().parallel_for(sims_.size(), [&](std::size_t r) {
     // Same per-region tie-break salt as Lab's steady-state solve, so the
     // quiesced attributes are bit-equal to the solver's.
-    sims_.push_back(std::make_unique<PrefixSim>(
-        lab_.world().graph, dep.asn(), hash_combine(lab_.config().seed, r), cfg_));
-  }
+    sims_[r] = std::make_unique<PrefixSim>(graph, index, dep.asn(),
+                                           hash_combine(lab_.config().seed, r), cfg_);
+  });
 }
 
 void Plane::rebuild() {
+  obs::Span span("converge.plane.rebuild");
   const cdn::Deployment& dep = handle_.deployment;
   exec::ThreadPool::global().parallel_for(sims_.size(), [&](std::size_t r) {
     const auto origins = dep.origins_for_region(r);
@@ -78,6 +85,7 @@ void Plane::rebuild() {
 StepTransient Plane::step(std::size_t index, std::string event,
                           std::span<const std::vector<OriginDelta>> deltas_by_region,
                           std::span<const ProbeRef> probes) {
+  obs::Span span("converge.plane.step");
   StepTransient out;
   out.index = index;
   out.event = std::move(event);

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "ranycast/core/rng.hpp"
 #include "ranycast/exec/pool.hpp"
@@ -70,42 +73,90 @@ CityId egress_city(const geo::Gazetteer& gaz, CityId from, const topo::Edge& edg
 
 }  // namespace
 
+SessionIndex::SessionIndex(const topo::Graph& graph) {
+  const auto nodes = graph.nodes();
+  const std::size_t n = nodes.size();
+  const auto as_name = [](Asn a) { return "AS" + std::to_string(value(a)); };
+
+  offsets_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    offsets_[i + 1] = offsets_[i] + static_cast<std::uint32_t>(nodes[i].edges.size());
+  }
+  sessions_.resize(offsets_[n]);
+
+  // Resolve every edge's neighbour and count each node's incoming edges.
+  std::vector<std::uint32_t> in_begin(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < nodes[i].edges.size(); ++j) {
+      const Asn nbr = nodes[i].edges[j].neighbor;
+      const auto idx = graph.index_of(nbr);
+      if (!idx) {
+        throw std::logic_error("converge::SessionIndex: " + as_name(nodes[i].asn) +
+                               " has an edge to unknown " + as_name(nbr));
+      }
+      sessions_[offsets_[i] + j].peer = static_cast<std::uint32_t>(*idx);
+      ++in_begin[*idx + 1];
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) in_begin[v + 1] += in_begin[v];
+
+  // Bucket the directed edges by target (counting sort): incoming[] lists,
+  // per target, the (source, slot) of every edge pointing at it.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> incoming(sessions_.size());
+  std::vector<std::uint32_t> cursor(in_begin.begin(), in_begin.end() - 1);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t slot = offsets_[u]; slot < offsets_[u + 1]; ++slot) {
+      incoming[cursor[sessions_[slot].peer]++] = {u, slot};
+    }
+  }
+
+  // Per target v: note where each neighbour sits in v's own list, then
+  // every edge u->v finds its reverse v->u there. Entries left over from an
+  // earlier target are caught by the range and peer checks.
+  std::vector<std::uint32_t> position(n, 0);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t deg = degree(v);
+    for (std::uint32_t k = 0; k < deg; ++k) position[sessions_[offsets_[v] + k].peer] = k;
+    for (std::uint32_t b = in_begin[v]; b < in_begin[v + 1]; ++b) {
+      const auto [u, slot] = incoming[b];
+      const std::uint32_t k = position[u];
+      if (k >= deg || sessions_[offsets_[v] + k].peer != u) {
+        throw std::logic_error("converge::SessionIndex: edge " + as_name(nodes[u].asn) +
+                               " -> " + as_name(nodes[v].asn) + " has no reverse edge");
+      }
+      sessions_[slot].reverse = k;
+    }
+  }
+}
+
 PrefixSim::PrefixSim(const topo::Graph& graph, Asn cdn_asn, std::uint64_t seed,
                      const Config& cfg)
-    : graph_(graph), cdn_asn_(cdn_asn), seed_(seed), cfg_(cfg) {
+    : PrefixSim(graph, std::make_shared<const SessionIndex>(graph), cdn_asn, seed, cfg) {}
+
+PrefixSim::PrefixSim(const topo::Graph& graph, std::shared_ptr<const SessionIndex> index,
+                     Asn cdn_asn, std::uint64_t seed, const Config& cfg)
+    : graph_(graph), cdn_asn_(cdn_asn), seed_(seed), cfg_(cfg), index_(std::move(index)) {
   const auto nodes = graph_.nodes();
   const std::size_t n = nodes.size();
+  if (index_ == nullptr || index_->node_count() != n) {
+    throw std::invalid_argument("converge::PrefixSim: session index does not match the graph");
+  }
   budget_ = cfg_.max_events != 0 ? cfg_.max_events : 4096 + 2048 * static_cast<std::uint64_t>(n);
 
   nodes_.resize(n);
+  adj_.resize(index_->session_count());
   next_hop_.assign(n, -1);
   timelines_.assign(n, NodeTimeline{});
-  mirror_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const topo::AsNode& node = nodes[i];
-    nodes_[i].adj.resize(node.edges.size());
     nodes_[i].proc_delay_us =
         cfg_.timers.proc_delay_us +
         (cfg_.timers.proc_jitter_us == 0
              ? 0
              : hash_combine(hash_combine(seed_, 0x70726f63u /* "proc" */), value(node.asn)) %
                    (cfg_.timers.proc_jitter_us + 1));
-    mirror_[i].resize(node.edges.size());
-    for (std::size_t j = 0; j < node.edges.size(); ++j) {
-      nodes_[i].adj[j].up = node.edges[j].up;
-      const auto nidx = graph_.index_of(node.edges[j].neighbor);
-      std::uint32_t redge = 0;
-      if (nidx) {
-        const auto& redges = nodes[*nidx].edges;
-        for (std::size_t k = 0; k < redges.size(); ++k) {
-          if (redges[k].neighbor == node.asn) {
-            redge = static_cast<std::uint32_t>(k);
-            break;
-          }
-        }
-      }
-      mirror_[i][j] = {static_cast<std::uint32_t>(nidx.value_or(0)), redge};
-    }
+    const auto sessions = adj_of(i);
+    for (std::size_t j = 0; j < sessions.size(); ++j) sessions[j].up = node.edges[j].up;
   }
 }
 
@@ -178,8 +229,8 @@ std::uint64_t PrefixSim::mrai_us(std::size_t node, std::size_t edge) const noexc
 std::uint64_t PrefixSim::link_delay_us(std::size_t node, std::size_t edge) const noexcept {
   const auto& gaz = geo::Gazetteer::world();
   const topo::AsNode& me = graph_.nodes()[node];
-  const auto [rn, re] = mirror_[node][edge];
-  const double km = gaz.distance(me.home_city, graph_.nodes()[rn].home_city).km;
+  const double km =
+      gaz.distance(me.home_city, graph_.nodes()[index_->at(node, edge).peer].home_city).km;
   return cfg_.timers.link_base_delay_us +
          static_cast<std::uint64_t>(std::llround(cfg_.timers.link_us_per_km * km));
 }
@@ -192,7 +243,7 @@ void PrefixSim::push(Event e) {
 }
 
 void PrefixSim::schedule_send(std::size_t node, std::size_t edge, std::uint64_t now) {
-  AdjState& a = nodes_[node].adj[edge];
+  AdjState& a = adj(node, edge);
   if (!a.up || a.pending) return;
   a.pending = true;
   Event ev;
@@ -219,20 +270,20 @@ PrefixSim::Cand PrefixSim::eligible_export(std::size_t node, std::size_t edge) c
 }
 
 void PrefixSim::fire_send(std::size_t node, std::size_t edge, std::uint64_t now) {
-  AdjState& a = nodes_[node].adj[edge];
+  AdjState& a = adj(node, edge);
   a.pending = false;
   if (!a.up) return;  // session died between scheduling and firing
   const Cand content = eligible_export(node, edge);
   if (same_route(content, a.sent)) return;  // nothing new to say
   a.sent = content;
   a.next_ok_us = now + mrai_us(node, edge);
-  const auto [rn, re] = mirror_[node][edge];
+  const auto [rn, re] = index_->at(node, edge);
   Event ev;
   ev.kind = Event::Kind::Update;
   ev.time = now + link_delay_us(node, edge) + nodes_[rn].proc_delay_us;
   ev.node = rn;
   ev.edge = re;
-  ev.gen = nodes_[rn].adj[re].gen;
+  ev.gen = adj(rn, re).gen;
   ev.announce = content.valid();
   ev.route = content;
   ev.via = graph_.nodes()[node].asn;
@@ -245,7 +296,7 @@ void PrefixSim::fire_send(std::size_t node, std::size_t edge, std::uint64_t now)
 }
 
 void PrefixSim::accept_update(const Event& e) {
-  AdjState& a = nodes_[e.node].adj[e.edge];
+  AdjState& a = adj(e.node, e.edge);
   if (!a.up || e.gen != a.gen) return;  // stale: rode a session that reset
   Cand next{};
   if (e.announce) {
@@ -259,7 +310,7 @@ void PrefixSim::accept_update(const Event& e) {
 }
 
 void PrefixSim::bump_penalty(std::size_t node, std::size_t edge, std::uint64_t now) {
-  AdjState& a = nodes_[node].adj[edge];
+  AdjState& a = adj(node, edge);
   if (a.penalty > 0.0 && now > a.penalty_at_us) {
     a.penalty *= std::exp2(-static_cast<double>(now - a.penalty_at_us) /
                            static_cast<double>(cfg_.damping.half_life_us));
@@ -287,7 +338,7 @@ void PrefixSim::bump_penalty(std::size_t node, std::size_t edge, std::uint64_t n
 }
 
 void PrefixSim::fire_reuse(std::size_t node, std::size_t edge, std::uint64_t now) {
-  AdjState& a = nodes_[node].adj[edge];
+  AdjState& a = adj(node, edge);
   a.reuse_queued = false;
   if (!a.suppressed) return;  // session reset cleared the penalty meanwhile
   if (a.penalty > 0.0 && now > a.penalty_at_us) {
@@ -343,12 +394,13 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
       hop = -2;
     }
   }
-  for (std::size_t j = 0; j < n.adj.size(); ++j) {
-    const AdjState& a = n.adj[j];
+  const auto sessions = adj_of(node);
+  for (std::size_t j = 0; j < sessions.size(); ++j) {
+    const AdjState& a = sessions[j];
     if (!a.in.valid() || a.suppressed) continue;
     if (!best.valid() || better(a.in, best)) {
       best = a.in;
-      hop = static_cast<std::int32_t>(mirror_[node][j].first);
+      hop = static_cast<std::int32_t>(index_->at(node, j).peer);
     }
   }
   if (same_route(best, n.best)) return;
@@ -365,8 +417,8 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
     }
   }
 
-  for (std::size_t j = 0; j < n.adj.size(); ++j) {
-    const AdjState& a = n.adj[j];
+  for (std::size_t j = 0; j < sessions.size(); ++j) {
+    const AdjState& a = sessions[j];
     if (!a.up || a.pending) continue;
     // Pre-filter: only wake the session if the export content would differ
     // from what it last carried. The Send recomputes at fire time, so
@@ -377,7 +429,7 @@ void PrefixSim::reselect(std::size_t node, std::uint64_t now) {
 
 void PrefixSim::apply_link_transition(std::size_t node, std::size_t edge, bool up,
                                       std::uint64_t now) {
-  AdjState& a = nodes_[node].adj[edge];
+  AdjState& a = adj(node, edge);
   a.up = up;
   ++a.gen;
   a.sent = Cand{};
@@ -422,24 +474,23 @@ void PrefixSim::apply_origin_delta(const OriginDelta& d) {
 void PrefixSim::sync_overlay_with_graph() {
   const auto nodes = graph_.nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = 0; j < nodes[i].edges.size(); ++j) {
+    const auto sessions = adj_of(i);
+    for (std::size_t j = 0; j < sessions.size(); ++j) {
       const bool gup = nodes[i].edges[j].up;
-      if (nodes_[i].adj[j].up != gup) apply_link_transition(i, j, gup, 0);
+      if (sessions[j].up != gup) apply_link_transition(i, j, gup, 0);
     }
   }
 }
 
 void PrefixSim::reset_epoch_controls() {
-  for (NodeState& n : nodes_) {
-    for (AdjState& a : n.adj) {
-      a.pending = false;
-      a.gen = 0;
-      a.next_ok_us = 0;
-      a.penalty = 0.0;
-      a.penalty_at_us = 0;
-      a.suppressed = false;
-      a.reuse_queued = false;
-    }
+  for (AdjState& a : adj_) {
+    a.pending = false;
+    a.gen = 0;
+    a.next_ok_us = 0;
+    a.penalty = 0.0;
+    a.penalty_at_us = 0;
+    a.suppressed = false;
+    a.reuse_queued = false;
   }
   queue_ = {};
   seq_ = 0;
@@ -454,32 +505,37 @@ void PrefixSim::reset_epoch_controls() {
 
 // ---- arena compaction --------------------------------------------------------
 
-std::uint32_t PrefixSim::reintern(const bgp::PathArena& from, std::uint32_t path,
-                                  bgp::PathArena& into) const {
-  if (path == bgp::PathArena::kNone) return bgp::PathArena::kNone;
-  std::vector<std::uint32_t> chain;
-  for (std::uint32_t cur = path; cur != bgp::PathArena::kNone; cur = from.parent_of(cur)) {
-    chain.push_back(cur);
+std::uint32_t PrefixSim::reintern(std::uint32_t path, bgp::PathArena& into) {
+  // Climb to the first hop already moved (or past the origin), then append
+  // the unvisited suffix origin-first: every live arena node moves once.
+  chain_.clear();
+  std::uint32_t cur = path;
+  while (cur != bgp::PathArena::kNone && remap_[cur] == bgp::PathArena::kNone) {
+    chain_.push_back(cur);
+    cur = arena_.parent_of(cur);
   }
-  std::uint32_t parent = bgp::PathArena::kNone;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    parent = into.append(parent, from.asn_of(*it), from.city_of(*it));
+  std::uint32_t parent = cur == bgp::PathArena::kNone ? cur : remap_[cur];
+  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
+    parent = into.append(parent, arena_.asn_of(*it), arena_.city_of(*it));
+    remap_[*it] = parent;
   }
   return parent;
 }
 
 void PrefixSim::compact_arena() {
   // Every in-flight path died with the drained queue; only the RIB state
-  // survives an epoch. Re-interning it into a fresh arena bounds memory by
-  // the RIB size instead of the cumulative update volume.
+  // survives an epoch. Moving it into a fresh arena through an old->new
+  // remap keeps shared prefixes shared and bounds memory by the live RIB
+  // instead of the cumulative update volume.
+  remap_.assign(arena_.size(), bgp::PathArena::kNone);
   bgp::PathArena fresh;
   for (NodeState& n : nodes_) {
-    for (auto& [origin, cand] : n.seeds) cand.path = reintern(arena_, cand.path, fresh);
-    for (AdjState& a : n.adj) {
-      a.in.path = reintern(arena_, a.in.path, fresh);
-      a.sent.path = reintern(arena_, a.sent.path, fresh);
-    }
-    n.best.path = reintern(arena_, n.best.path, fresh);
+    for (auto& [origin, cand] : n.seeds) cand.path = reintern(cand.path, fresh);
+    n.best.path = reintern(n.best.path, fresh);
+  }
+  for (AdjState& a : adj_) {
+    a.in.path = reintern(a.in.path, fresh);
+    a.sent.path = reintern(a.sent.path, fresh);
   }
   arena_ = std::move(fresh);
 }
@@ -526,7 +582,7 @@ RegionTransient PrefixSim::drain() {
         const auto& edges = graph_.nodes()[*ia].edges;
         for (std::size_t j = 0; j < edges.size(); ++j) {
           if (edges[j].neighbor != f.b) continue;
-          const auto [rn, re] = mirror_[*ia][j];
+          const auto [rn, re] = index_->at(*ia, j);
           apply_link_transition(*ia, j, f.up, e.time);
           apply_link_transition(rn, re, f.up, e.time);
           break;
@@ -576,9 +632,10 @@ RegionTransient PrefixSim::cold_start(std::span<const bgp::OriginAttachment> ori
     NodeState& n = nodes_[i];
     n.seeds.clear();
     n.best = Cand{};
-    for (std::size_t j = 0; j < n.adj.size(); ++j) {
-      n.adj[j] = AdjState{};
-      n.adj[j].up = nodes[i].edges[j].up;
+    const auto sessions = adj_of(i);
+    for (std::size_t j = 0; j < sessions.size(); ++j) {
+      sessions[j] = AdjState{};
+      sessions[j].up = nodes[i].edges[j].up;
     }
   }
   std::fill(next_hop_.begin(), next_hop_.end(), -1);
@@ -594,7 +651,6 @@ RegionTransient PrefixSim::cold_start(std::span<const bgp::OriginAttachment> ori
 
 RegionTransient PrefixSim::run_step(std::span<const OriginDelta> origin_deltas,
                                     std::span<const TimedLinkFlip> schedule) {
-  compact_arena();
   timelines_.assign(nodes_.size(), NodeTimeline{});
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     timelines_[i].routed_initially = nodes_[i].best.valid();
@@ -607,11 +663,9 @@ RegionTransient PrefixSim::run_step(std::span<const OriginDelta> origin_deltas,
   const bool rebuild = rebuild_pending_;
   rebuild_pending_ = false;
   if (rebuild) {
-    for (NodeState& n : nodes_) {
-      for (AdjState& a : n.adj) {
-        a.in = Cand{};
-        a.sent = Cand{};
-      }
+    for (AdjState& a : adj_) {
+      a.in = Cand{};
+      a.sent = Cand{};
     }
   }
   schedule_.assign(schedule.begin(), schedule.end());
@@ -630,13 +684,15 @@ RegionTransient PrefixSim::run_step(std::span<const OriginDelta> origin_deltas,
     // exports, and its cleared Adj-RIB-Out means nothing would ever flow.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       reselect(i, 0);
-      NodeState& n = nodes_[i];
-      for (std::size_t j = 0; j < n.adj.size(); ++j) {
-        if (n.adj[j].up && eligible_export(i, j).valid()) schedule_send(i, j, 0);
+      const auto sessions = adj_of(i);
+      for (std::size_t j = 0; j < sessions.size(); ++j) {
+        if (sessions[j].up && eligible_export(i, j).valid()) schedule_send(i, j, 0);
       }
     }
   }
-  return drain();
+  const RegionTransient out = drain();
+  compact_arena();
+  return out;
 }
 
 // ---- accessors -----------------------------------------------------------------
@@ -648,6 +704,20 @@ bool PrefixSim::has_route(std::size_t node) const noexcept {
 std::optional<SiteId> PrefixSim::catchment(std::size_t node) const noexcept {
   if (!nodes_[node].best.valid()) return std::nullopt;
   return nodes_[node].best.origin_site;
+}
+
+std::size_t PrefixSim::rib_hops() const noexcept {
+  std::size_t hops = 0;
+  const auto add = [&](const Cand& c) { hops += c.valid() ? c.len : 0; };
+  for (const NodeState& n : nodes_) {
+    for (const auto& [origin, cand] : n.seeds) add(cand);
+    add(n.best);
+  }
+  for (const AdjState& a : adj_) {
+    add(a.in);
+    add(a.sent);
+  }
+  return hops;
 }
 
 PrefixSim::RouteView PrefixSim::route_view(std::size_t node) const noexcept {
