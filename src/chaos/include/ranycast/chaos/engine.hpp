@@ -21,6 +21,7 @@
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/converge/plane.hpp"
 #include "ranycast/core/expected.hpp"
+#include "ranycast/core/record.hpp"
 #include "ranycast/guard/runtime.hpp"
 #include "ranycast/guard/sweep.hpp"
 #include "ranycast/lab/lab.hpp"
@@ -70,6 +71,30 @@ struct StepReport {
                                       static_cast<double>(affected_probes);
   }
 };
+
+/// StepReport's field list (core/record.hpp): checkpoint, report JSON and
+/// the chaos_step journal line all follow it.
+template <class V, core::RecordOf<StepReport> T>
+void fields(V& v, T& r) {
+  v("index", r.index);
+  v("event", r.event);
+  v("probes", r.probes);
+  v("routes_before", r.routes_before);
+  v("routes_after", r.routes_after);
+  v("moved", r.moved);
+  v("lost", r.lost);
+  v("gained", r.gained);
+  v("affected_probes", r.affected_probes);
+  v("still_served", r.still_served);
+  v("failover_in_region", r.failover_in_region);
+  v("cross_region", r.cross_region);
+  v("before_p50_ms", r.before_p50_ms);
+  v("before_p90_ms", r.before_p90_ms);
+  v("after_p50_ms", r.after_p50_ms);
+  v("after_p90_ms", r.after_p90_ms);
+  v("degraded_dns_answers", r.degraded_dns_answers);
+  v("lost_pings", r.lost_pings);
+}
 
 struct ChaosReport {
   std::string plan;

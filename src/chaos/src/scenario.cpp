@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "ranycast/converge/report.hpp"
 #include "ranycast/traffic/config.hpp"
 
 namespace ranycast::chaos {
@@ -235,30 +234,11 @@ core::Expected<FaultPlan, io::ConfigError> load_plan(const std::string& path) {
 }
 
 io::Json report_to_json(const ChaosReport& report) {
-  io::JsonArray steps;
-  for (const StepReport& s : report.steps) {
-    steps.push_back(io::Json(io::JsonObject{
-        {"index", io::Json(static_cast<std::int64_t>(s.index))},
-        {"event", io::Json(s.event)},
-        {"probes", io::Json(static_cast<std::int64_t>(s.probes))},
-        {"routes_before", io::Json(static_cast<std::int64_t>(s.routes_before))},
-        {"routes_after", io::Json(static_cast<std::int64_t>(s.routes_after))},
-        {"moved", io::Json(static_cast<std::int64_t>(s.moved))},
-        {"lost", io::Json(static_cast<std::int64_t>(s.lost))},
-        {"gained", io::Json(static_cast<std::int64_t>(s.gained))},
-        {"churn", io::Json(s.churn())},
-        {"affected_probes", io::Json(static_cast<std::int64_t>(s.affected_probes))},
-        {"still_served", io::Json(static_cast<std::int64_t>(s.still_served))},
-        {"survival_rate", io::Json(s.survival_rate())},
-        {"failover_in_region", io::Json(static_cast<std::int64_t>(s.failover_in_region))},
-        {"cross_region", io::Json(static_cast<std::int64_t>(s.cross_region))},
-        {"before_p50_ms", io::Json(s.before_p50_ms)},
-        {"before_p90_ms", io::Json(s.before_p90_ms)},
-        {"after_p50_ms", io::Json(s.after_p50_ms)},
-        {"after_p90_ms", io::Json(s.after_p90_ms)},
-        {"degraded_dns_answers", io::Json(static_cast<std::int64_t>(s.degraded_dns_answers))},
-        {"lost_pings", io::Json(static_cast<std::int64_t>(s.lost_pings))},
-    }));
+  io::Json steps = io::to_json(report.steps);
+  for (std::size_t i = 0; i < report.steps.size(); ++i) {
+    io::JsonObject& step = steps.as_array()[i].as_object();
+    step["churn"] = report.steps[i].churn();
+    step["survival_rate"] = report.steps[i].survival_rate();
   }
   io::JsonObject out{
       {"plan", io::Json(report.plan)},
@@ -268,23 +248,18 @@ io::Json report_to_json(const ChaosReport& report) {
       {"planned_steps", io::Json(static_cast<std::int64_t>(report.planned_steps))},
       {"completed_steps", io::Json(static_cast<std::int64_t>(report.completed_steps))},
       {"truncated", io::Json(report.truncated)},
-      {"steps", io::Json(std::move(steps))},
+      {"steps", std::move(steps)},
   };
-  if (!report.transient.empty()) {
-    io::JsonArray transient;
-    transient.reserve(report.transient.size());
-    for (const converge::StepTransient& t : report.transient) {
-      transient.push_back(converge::transient_to_json(t));
-    }
-    out["transient"] = io::Json(std::move(transient));
-  }
+  if (!report.transient.empty()) out["transient"] = io::to_json(report.transient);
   if (!report.traffic.empty()) {
-    io::JsonArray traffic;
-    traffic.reserve(report.traffic.size());
-    for (const traffic::StepTraffic& t : report.traffic) {
-      traffic.push_back(traffic::step_to_json(t));
+    io::Json traffic = io::to_json(report.traffic);
+    for (io::Json& step : traffic.as_array()) {
+      io::JsonArray& sites = step.as_object()["solve"].as_object()["sites"].as_array();
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        sites[i].as_object()["site"] = static_cast<std::int64_t>(i);
+      }
     }
-    out["traffic"] = io::Json(std::move(traffic));
+    out["traffic"] = std::move(traffic);
   }
   return io::Json(std::move(out));
 }

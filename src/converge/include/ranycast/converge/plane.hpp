@@ -55,6 +55,26 @@ struct StepTransient {
   bool oscillating{false};    ///< any region hit its event budget
 };
 
+template <class V, core::RecordOf<StepTransient> T>
+void fields(V& v, T& r) {
+  v("index", r.index);
+  v("event", r.event);
+  v("regions", r.regions);
+  v("probes", r.probes);
+  v("probes_blackholed", r.probes_blackholed);
+  v("probes_looped", r.probes_looped);
+  v("probes_flipped", r.probes_flipped);
+  v("probes_dark_at_end", r.probes_dark_at_end);
+  v("reconverge_p50_ms", r.reconverge_p50_ms);
+  v("reconverge_p90_ms", r.reconverge_p90_ms);
+  v("reconverge_max_ms", r.reconverge_max_ms);
+  v("blackhole_p50_ms", r.blackhole_p50_ms);
+  v("blackhole_p90_ms", r.blackhole_p90_ms);
+  v("blackhole_max_ms", r.blackhole_max_ms);
+  v("matches_steady", r.matches_steady);
+  v("oscillating", r.oscillating);
+}
+
 /// Snapshot of a deployment's origination state, per region — the input to
 /// diff_origins. Captured before and after the engine applies a fault.
 std::vector<std::vector<bgp::OriginAttachment>> origins_by_region(

@@ -30,6 +30,7 @@
 #include "ranycast/bgp/path_arena.hpp"
 #include "ranycast/bgp/route.hpp"
 #include "ranycast/converge/config.hpp"
+#include "ranycast/core/record.hpp"
 #include "ranycast/topo/graph.hpp"
 
 namespace ranycast::converge {
@@ -95,6 +96,26 @@ struct RegionTransient {
   bool matches_steady{true};
   std::uint64_t mismatches{0};
 };
+
+template <class V, core::RecordOf<RegionTransient> T>
+void fields(V& v, T& r) {
+  v("events", r.events);
+  v("updates_sent", r.updates_sent);
+  v("withdrawals_sent", r.withdrawals_sent);
+  v("rib_changes", r.rib_changes);
+  v("converged_us", r.converged_us);
+  v("last_event_us", r.last_event_us);
+  v("transient_loops", r.transient_loops);
+  v("suppressed", r.suppressed);
+  v("site_flips", r.site_flips);
+  v("nodes_changed", r.nodes_changed);
+  v("nodes_blackholed", r.nodes_blackholed);
+  v("nodes_dark_at_end", r.nodes_dark_at_end);
+  v("max_blackhole_us", r.max_blackhole_us);
+  v("oscillating", r.oscillating);
+  v("matches_steady", r.matches_steady);
+  v("mismatches", r.mismatches);
+}
 
 namespace detail {
 /// Walk a forwarding next-hop array from `start` (-1 = no route, -2 =

@@ -21,7 +21,9 @@
 // oldest. A corrupt generation is quarantined — renamed to
 // "<file>.quarantined", recorded in the journal and in the
 // guard.recovery.* metrics — and resume falls back to the previous
-// generation transparently. Only a fingerprint mismatch (a checkpoint from
+// generation transparently. A generation whose envelope checks out but
+// whose payload the caller's decoder rejects counts as corrupt too. Only a
+// fingerprint mismatch (a checkpoint from
 // a DIFFERENT experiment) aborts the scan: that file is evidence of
 // operator error, not bit rot, and is never destroyed. If the manifest
 // itself is unreadable the chain is rebuilt from a directory scan of
@@ -33,6 +35,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,9 +95,12 @@ class CheckpointChain {
   /// Recover the newest valid generation, quarantining corrupt ones and
   /// falling back transparently (see file comment). Errors: Io when nothing
   /// resumable exists, Corrupt when every generation was damaged,
-  /// FingerprintMismatch immediately on a foreign checkpoint.
-  core::Expected<RecoveredCheckpoint, GuardError> read(CheckpointKind expected_kind,
-                                                       std::uint64_t expected_fingerprint);
+  /// FingerprintMismatch immediately on a foreign checkpoint. `accept`, when
+  /// set, decodes a payload: a generation it rejects is quarantined and the
+  /// next older one is offered.
+  core::Expected<RecoveredCheckpoint, GuardError> read(
+      CheckpointKind expected_kind, std::uint64_t expected_fingerprint,
+      const std::function<bool(std::span<const std::uint8_t>)>& accept = {});
 
  private:
   void prime_for_write();

@@ -91,13 +91,18 @@ class ByteReader {
   bool ok() const noexcept { return ok_; }
   bool at_end() const noexcept { return pos_ == data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
+  /// Latch ok() to false, as a read past the end would: how a decoder
+  /// rejects a value it read (a forged count, an out-of-range tag).
+  void fail() noexcept {
+    ok_ = false;
+    pos_ = data_.size();
+  }
 
  private:
   template <typename T>
   T take_le() {
     if (data_.size() - pos_ < sizeof(T)) {
-      ok_ = false;
-      pos_ = data_.size();
+      fail();
       return T{};
     }
     T v{};

@@ -37,7 +37,10 @@ struct SweepHooks {
   /// checkpointing is enabled).
   std::function<void(ByteWriter&)> save;
   /// Restore the accumulator from a checkpoint payload. Return false to
-  /// reject the payload as corrupt. Required when resume is requested.
+  /// reject the payload as corrupt: the chain quarantines that generation
+  /// and calls load again with the next older one, so a rejected payload
+  /// must leave nothing behind that the next call does not overwrite.
+  /// Required when resume is requested.
   std::function<bool(ByteReader&)> load;
 };
 

@@ -217,7 +217,12 @@ core::Expected<std::uint64_t, GuardError> CheckpointChain::write(
 }
 
 core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
-    CheckpointKind expected_kind, std::uint64_t expected_fingerprint) {
+    CheckpointKind expected_kind, std::uint64_t expected_fingerprint,
+    const std::function<bool(std::span<const std::uint8_t>)>& accept) {
+  const auto undecodable = [&](const std::string& file) {
+    return core::unexpected(
+        make_error(GuardErrorKind::Corrupt, file, "payload failed to decode"));
+  };
   std::vector<ChainEntry> entries;
   bool manifest_rebuilt = false;
 
@@ -228,6 +233,7 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
         // Legacy single-file checkpoint: validate fully and return it.
         auto payload = read_checkpoint(path_, expected_kind, expected_fingerprint);
         if (!payload) return core::unexpected(std::move(payload).error());
+        if (accept && !accept(*payload)) return undecodable(path_);
         RecoveredCheckpoint out;
         out.payload = std::move(*payload);
         out.legacy = true;
@@ -279,6 +285,7 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
   bool saw_corrupt = false;
   for (const ChainEntry& entry : entries) {
     auto payload = read_checkpoint(entry.file, expected_kind, expected_fingerprint);
+    if (payload && accept && !accept(*payload)) payload = undecodable(entry.file);
     if (payload) {
       out.payload = std::move(*payload);
       out.generation = entry.generation;

@@ -99,8 +99,7 @@ double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 std::string ByteReader::str() {
   const std::uint32_t size = u32();
   if (!ok_ || data_.size() - pos_ < size) {
-    ok_ = false;
-    pos_ = data_.size();
+    fail();
     return {};
   }
   std::string out(reinterpret_cast<const char*>(data_.data() + pos_), size);

@@ -32,19 +32,26 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
 
   std::size_t start = 0;
   if (policy.resume && !policy.path.empty() && chain_exists(policy.path)) {
-    auto recovered = retry_transient(supervisor, policy.retry, [&] {
-      return chain.read(policy.kind, fingerprint);
-    });
-    if (!recovered) return core::unexpected(std::move(recovered).error());
-    ByteReader reader(recovered->payload);
-    const std::uint64_t cursor = reader.u64();
-    if (!reader.ok() || cursor > total || !hooks.load || !hooks.load(reader)) {
+    if (!hooks.load) {
       GuardError err;
-      err.kind = GuardErrorKind::Corrupt;
+      err.kind = GuardErrorKind::Config;
       err.path = policy.path;
-      err.message = "sweep payload failed to decode";
+      err.message = "resume requested but the sweep has no load hook";
       return core::unexpected(std::move(err));
     }
+    // The payload is decoded inside the chain's scan, so a generation that
+    // passes its CRC but not the decoder is quarantined and the next older
+    // generation is tried.
+    std::uint64_t cursor = 0;
+    const auto accept = [&](std::span<const std::uint8_t> payload) {
+      ByteReader reader(payload);
+      cursor = reader.u64();
+      return reader.ok() && cursor <= total && hooks.load(reader);
+    };
+    auto recovered = retry_transient(supervisor, policy.retry, [&] {
+      return chain.read(policy.kind, fingerprint, accept);
+    });
+    if (!recovered) return core::unexpected(std::move(recovered).error());
     start = static_cast<std::size_t>(cursor);
     result.resumed = true;
     result.resumed_from = start;

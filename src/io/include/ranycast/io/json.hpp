@@ -11,8 +11,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
+
+#include "ranycast/core/record.hpp"
 
 namespace ranycast::io {
 
@@ -76,5 +79,31 @@ std::variant<Json, JsonParseError> parse_json(std::string_view text);
 
 /// Convenience: parse or throw std::runtime_error with position info.
 Json parse_json_or_throw(std::string_view text);
+
+/// JSON projection of a field value: a record (core/record.hpp) becomes an
+/// object keyed by its field names, a vector an array, an unsigned integer a
+/// number, and bool/double/string themselves.
+template <class T>
+Json to_json(const T& value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double> ||
+                std::is_same_v<T, std::string>) {
+    return Json(value);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return Json(static_cast<std::int64_t>(value));
+  } else if constexpr (core::is_vector_v<T>) {
+    JsonArray out;
+    out.reserve(value.size());
+    for (const auto& element : value) out.push_back(io::to_json(element));
+    return Json(std::move(out));
+  } else {
+    static_assert(core::Record<T>, "no JSON projection for this field type");
+    JsonObject out;
+    const auto visit = [&out](std::string_view key, const auto& field) {
+      out.emplace(std::string(key), io::to_json(field));
+    };
+    fields(visit, value);
+    return Json(std::move(out));
+  }
+}
 
 }  // namespace ranycast::io

@@ -111,7 +111,7 @@ const DeploymentHandle& Lab::add_deployment(const cdn::DeploymentSpec& spec) {
 
 const DeploymentHandle& Lab::add_deployment(cdn::Deployment deployment) {
   obs::Span span("lab.add_deployment");
-  DeploymentHandle handle{std::move(deployment), {}};
+  DeploymentHandle handle{std::move(deployment), {}, nullptr};
   const auto& dep = handle.deployment;
   handle.outcomes = solve_regions(*this, dep);
   static obs::Counter& deployments = metrics().counter("lab.deployments");

@@ -28,8 +28,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "ranycast/core/record.hpp"
 #include "ranycast/vfs/vfs.hpp"
 
 namespace ranycast::obs {
@@ -104,6 +106,29 @@ class Journal {
 /// before destroying it.
 void set_journal(Journal* journal) noexcept;
 Journal* journal() noexcept;
+
+/// A record's scalar fields (core/record.hpp) as journal fields, in list
+/// order: unsigned integers as u64, bool, double and string as themselves.
+/// Nested records and lists are left out; a line that needs them appends
+/// its own summary.
+template <class T>
+std::vector<JournalField> journal_fields(const T& record) {
+  std::vector<JournalField> out;
+  const auto visit = [&out](std::string_view key, const auto& field) {
+    using F = std::remove_cvref_t<decltype(field)>;
+    if constexpr (std::is_same_v<F, bool>) {
+      out.push_back(JournalField::bool_field(std::string(key), field));
+    } else if constexpr (std::is_same_v<F, double>) {
+      out.push_back(JournalField::f64_field(std::string(key), field));
+    } else if constexpr (std::is_same_v<F, std::string>) {
+      out.push_back(JournalField::str(std::string(key), field));
+    } else if constexpr (std::is_unsigned_v<F>) {
+      out.push_back(JournalField::u64_field(std::string(key), field));
+    }
+  };
+  fields(visit, record);
+  return out;
+}
 
 /// Convenience: appends an event to the installed journal, if any.
 /// Returns false only on a write error (not when no journal is installed).

@@ -37,6 +37,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/core/expected.hpp"
+#include "ranycast/core/record.hpp"
 #include "ranycast/guard/checkpoint.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/serve/admission.hpp"
@@ -122,6 +123,19 @@ struct ServeStats {
   std::uint64_t builds_failed{0};
   std::uint64_t world_events_applied{0};
 };
+
+template <class V, core::RecordOf<ServeStats> T>
+void fields(V& v, T& r) {
+  v("queries", r.queries);
+  v("served", r.served);
+  v("shed_queue", r.shed_queue);
+  v("shed_deadline", r.shed_deadline);
+  v("shed_rate", r.shed_rate);
+  v("rejected", r.rejected);
+  v("epochs_published", r.epochs_published);
+  v("builds_failed", r.builds_failed);
+  v("world_events_applied", r.world_events_applied);
+}
 
 class Server {
  public:

@@ -6,6 +6,7 @@
 
 #include "ranycast/core/crc32.hpp"
 #include "ranycast/core/rng.hpp"
+#include "ranycast/guard/codec.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
@@ -342,15 +343,7 @@ void Server::save(guard::ByteWriter& w) const {
   ladder_.encode(w);
   admission_.encode(w);
   latency_.encode(w);
-  w.u64(stats_.queries);
-  w.u64(stats_.served);
-  w.u64(stats_.shed_queue);
-  w.u64(stats_.shed_deadline);
-  w.u64(stats_.shed_rate);
-  w.u64(stats_.rejected);
-  w.u64(stats_.epochs_published);
-  w.u64(stats_.builds_failed);
-  w.u64(stats_.world_events_applied);
+  guard::encode(w, stats_);
 }
 
 bool Server::load(guard::ByteReader& r) {
@@ -370,17 +363,10 @@ bool Server::load(guard::ByteReader& r) {
     if (!decode_snapshot(r, *snap)) return false;
     restored = std::move(snap);
   }
-  if (!ladder_.decode(r) || !admission_.decode(r) || !latency_.decode(r)) return false;
-  stats_.queries = r.u64();
-  stats_.served = r.u64();
-  stats_.shed_queue = r.u64();
-  stats_.shed_deadline = r.u64();
-  stats_.shed_rate = r.u64();
-  stats_.rejected = r.u64();
-  stats_.epochs_published = r.u64();
-  stats_.builds_failed = r.u64();
-  stats_.world_events_applied = r.u64();
-  if (!r.ok()) return false;
+  if (!ladder_.decode(r) || !admission_.decode(r) || !latency_.decode(r) ||
+      !guard::decode(r, stats_)) {
+    return false;
+  }
   // Fast-forward the world: re-apply the events the dead process consumed,
   // in order, so the lab reaches the exact state the checkpoint was taken
   // in. The mutations are deterministic; measurements are pure in lab

@@ -1,9 +1,9 @@
-// Per-chaos-step traffic accounting and its JSON serialization.
+// Per-chaos-step traffic accounting.
 #pragma once
 
 #include <string>
 
-#include "ranycast/io/json.hpp"
+#include "ranycast/core/record.hpp"
 #include "ranycast/traffic/solver.hpp"
 
 namespace ranycast::traffic {
@@ -35,7 +35,17 @@ struct StepTraffic {
   double inflated_p90_ms{0.0};
 };
 
-io::Json solve_to_json(const TrafficSolve& s);
-io::Json step_to_json(const StepTraffic& s);
+template <class V, core::RecordOf<StepTraffic> T>
+void fields(V& v, T& r) {
+  v("index", r.index);
+  v("event", r.event);
+  v("solve", r.solve);
+  v("before_max_utilization", r.before_max_utilization);
+  v("before_mean_utilization", r.before_mean_utilization);
+  v("tipped_sites", r.tipped_sites);
+  v("cascade_depth", r.cascade_depth);
+  v("inflated_p50_ms", r.inflated_p50_ms);
+  v("inflated_p90_ms", r.inflated_p90_ms);
+}
 
 }  // namespace ranycast::traffic

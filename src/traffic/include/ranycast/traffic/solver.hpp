@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "ranycast/core/record.hpp"
 #include "ranycast/core/types.hpp"
 #include "ranycast/traffic/flows.hpp"
 #include "ranycast/traffic/model.hpp"
@@ -46,6 +47,23 @@ struct SiteLoad {
   bool overloaded{false};  ///< past the admission threshold (or capacity 0 with demand)
 };
 
+template <class V, core::RecordOf<SiteLoad> T>
+void fields(V& v, T& r) {
+  v("capacity_mbps", r.capacity_mbps);
+  v("offered_mbps", r.offered_mbps);
+  v("served_mbps", r.served_mbps);
+  v("shed_out_mbps", r.shed_out_mbps);
+  v("dropped_mbps", r.dropped_mbps);
+  v("utilization", r.utilization);
+  v("queue_delay_ms", r.queue_delay_ms);
+  v("flows_offered", r.flows_offered);
+  v("flows_served", r.flows_served);
+  v("flows_shed_out", r.flows_shed_out);
+  v("flows_shed_in", r.flows_shed_in);
+  v("flows_dropped", r.flows_dropped);
+  v("overloaded", r.overloaded);
+}
+
 struct TrafficSolve {
   std::vector<SiteLoad> sites;
 
@@ -73,6 +91,28 @@ struct TrafficSolve {
   double queue_delay_p90_ms{0.0};
   double queue_delay_max_ms{0.0};
 };
+
+template <class V, core::RecordOf<TrafficSolve> T>
+void fields(V& v, T& r) {
+  v("sites", r.sites);
+  v("offered_mbps", r.offered_mbps);
+  v("served_mbps", r.served_mbps);
+  v("shed_mbps", r.shed_mbps);
+  v("dropped_mbps", r.dropped_mbps);
+  v("flows_offered", r.flows_offered);
+  v("flows_served", r.flows_served);
+  v("flows_shed", r.flows_shed);
+  v("flows_dropped", r.flows_dropped);
+  v("flows_unrouted", r.flows_unrouted);
+  v("unrouted_mbps", r.unrouted_mbps);
+  v("overloaded_sites", r.overloaded_sites);
+  v("cascade_depth", r.cascade_depth);
+  v("max_utilization", r.max_utilization);
+  v("mean_utilization", r.mean_utilization);
+  v("queue_delay_p50_ms", r.queue_delay_p50_ms);
+  v("queue_delay_p90_ms", r.queue_delay_p90_ms);
+  v("queue_delay_max_ms", r.queue_delay_max_ms);
+}
 
 /// The M/M/1 wait-time inflation for one site. Monotone non-decreasing in
 /// utilization; finite for every input (rho clamps to max_rho, non-positive

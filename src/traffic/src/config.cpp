@@ -161,25 +161,19 @@ core::Expected<TrafficConfig, io::ConfigError> config_from_json(const io::Json& 
 }
 
 io::Json config_to_json(const TrafficConfig& cfg) {
-  io::JsonArray caps;
-  caps.reserve(cfg.site_capacity_mbps.size());
-  for (double v : cfg.site_capacity_mbps) caps.push_back(io::Json(v));
-  io::JsonArray bytes, prob;
-  for (double v : cfg.flow_sizes.bytes) bytes.push_back(io::Json(v));
-  for (double v : cfg.flow_sizes.prob) prob.push_back(io::Json(v));
   return io::Json(io::JsonObject{
       {"flows_per_probe_per_s", io::Json(cfg.flows_per_probe_per_s)},
       {"window_s", io::Json(cfg.window_s)},
       {"demand_scale", io::Json(cfg.demand_scale)},
       {"default_site_capacity_mbps", io::Json(cfg.default_site_capacity_mbps)},
-      {"site_capacity_mbps", io::Json(std::move(caps))},
+      {"site_capacity_mbps", io::to_json(cfg.site_capacity_mbps)},
       {"policy", io::Json(std::string(to_string(cfg.policy)))},
       {"admission_threshold", io::Json(cfg.admission_threshold)},
       {"max_rho", io::Json(cfg.max_rho)},
       {"max_shed_waves", io::Json(static_cast<std::int64_t>(cfg.max_shed_waves))},
       {"seed", io::Json(static_cast<std::int64_t>(cfg.seed))},
-      {"flow_sizes", io::Json(io::JsonObject{{"bytes", io::Json(std::move(bytes))},
-                                             {"prob", io::Json(std::move(prob))}})},
+      {"flow_sizes", io::Json(io::JsonObject{{"bytes", io::to_json(cfg.flow_sizes.bytes)},
+                                             {"prob", io::to_json(cfg.flow_sizes.prob)}})},
   });
 }
 

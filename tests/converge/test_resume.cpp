@@ -3,7 +3,8 @@
 // sections — byte-identical to an uninterrupted run, at worker counts
 // {1, 2, hardware}. A transient checkpoint also must not resume into a
 // steady-only run (or vice versa): the convergence config is part of the
-// checkpoint fingerprint.
+// checkpoint fingerprint. A history holding an oscillation-truncated step
+// fails the resume and leaves the chain as it is.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -226,6 +227,44 @@ TEST(ConvergeResume, DifferentTimerConfigDoesNotResume) {
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
   fs::remove(ck);
+}
+
+TEST(ConvergeResume, OscillatingHistoryFailsWithoutQuarantine) {
+  const fs::path dir = fs::temp_directory_path() / "ranycast_converge_oscillating";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string ck = (dir / "run.ck").string();
+  Config budget = fast_transient();
+  budget.max_events = 50;  // every region runs out of events mid-flood
+  {
+    auto laboratory = lab::Lab::create(tiny_config());
+    const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+    chaos::Engine engine(laboratory, im6);
+    engine.enable_transient(budget);
+    guard::Supervisor supervisor;
+    guard::CheckpointPolicy policy;
+    policy.path = ck;
+    policy.after_step = [&](std::size_t done, std::size_t) {
+      if (done == 2) supervisor.cancel();
+    };
+    auto first = engine.run_guarded(failover_plan(), supervisor, policy);
+    ASSERT_TRUE(first.has_value()) << first.error();
+    ASSERT_TRUE(first->report.transient.at(0).oscillating);
+  }
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  chaos::Engine engine(laboratory, im6);
+  engine.enable_transient(budget);
+  guard::Supervisor supervisor;
+  guard::CheckpointPolicy policy;
+  policy.path = ck;
+  policy.resume = true;
+  auto outcome = engine.run_guarded(failover_plan(), supervisor, policy);
+  ASSERT_FALSE(outcome.has_value());
+  EXPECT_NE(outcome.error().find("oscillation"), std::string::npos) << outcome.error();
+  EXPECT_TRUE(fs::exists(ck + ".g2"));
+  EXPECT_FALSE(fs::exists(ck + ".g2.quarantined"));
+  fs::remove_all(dir);
 }
 
 }  // namespace

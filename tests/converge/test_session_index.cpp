@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "ranycast/cdn/catalog.hpp"
-#include "ranycast/converge/report.hpp"
 #include "ranycast/converge/sim.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/geo/gazetteer.hpp"
+#include "ranycast/io/json.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/topo/generator.hpp"
 
@@ -160,7 +160,7 @@ TEST(SessionIndex, SharedIndexSimMatchesPrivateIndexSim) {
 
   const auto expect_same = [&](const RegionTransient& x, const RegionTransient& y,
                                const char* what) {
-    EXPECT_EQ(region_to_json(x).dump(), region_to_json(y).dump()) << what;
+    EXPECT_EQ(io::to_json(x).dump(), io::to_json(y).dump()) << what;
     const auto tx = with_shared.timelines();
     const auto ty = with_own.timelines();
     ASSERT_EQ(tx.size(), ty.size());

@@ -1,12 +1,16 @@
 // Deterministic structure-aware fuzzing of the JSON layer and its two
-// consumers: the lab-config binder and the chaos scenario parser.
+// consumers (the lab-config binder and the chaos scenario parser), and of
+// the binary checkpoint decoders derived from the records' field lists.
 //
 // No libFuzzer: a fixed-seed xoshiro mutator walks the committed corpus in
 // tests/fuzz/corpus/, producing byte flips, truncations, structural-token
 // insertions and cross-file splices. Every mutant must either parse or
 // return a structured error — never crash, hang, or throw past the API
 // boundary. Parsed documents additionally go through dump() → reparse to
-// check the printer emits what the parser accepts.
+// check the printer emits what the parser accepts. The binary target
+// mutates real chaos checkpoint payloads (tests/chaos/data) and ServeStats
+// bytes with bit flips, truncations and forged counts; every mutant must be
+// rejected or decode to a value that re-encodes to the same bytes.
 //
 // Crashes found by this harness graduate to named regression cases at the
 // bottom of the file (and, when input-shaped, to corpus files).
@@ -19,13 +23,19 @@
 #include <variant>
 #include <vector>
 
+#include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/rng.hpp"
+#include "ranycast/guard/codec.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/io/json.hpp"
+#include "ranycast/serve/server.hpp"
 
 #ifndef RANYCAST_FUZZ_CORPUS_DIR
 #error "build must define RANYCAST_FUZZ_CORPUS_DIR"
+#endif
+#ifndef RANYCAST_CHAOS_DATA_DIR
+#error "build must define RANYCAST_CHAOS_DATA_DIR"
 #endif
 
 namespace ranycast {
@@ -144,6 +154,131 @@ TEST(Fuzz, DeterministicMutationSweep) {
   // Structure-aware mutation keeps a healthy share of mutants parseable;
   // if this drops to ~0 the mutator degenerated into noise.
   EXPECT_GT(parsed, 0u);
+}
+
+// --- binary decoders --------------------------------------------------------
+
+/// A chaos checkpoint payload with the transient and traffic planes on:
+/// the sweep cursor, then the engine's three record lists.
+struct ChaosPayload {
+  std::uint64_t cursor{0};
+  std::vector<chaos::StepReport> steps;
+  std::vector<converge::StepTransient> transient;
+  std::vector<traffic::StepTraffic> traffic;
+};
+
+template <class V, core::RecordOf<ChaosPayload> T>
+void fields(V& v, T& r) {
+  v("cursor", r.cursor);
+  v("steps", r.steps);
+  v("transient", r.transient);
+  v("traffic", r.traffic);
+}
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// The payloads of the committed checkpoint fixture's generations.
+std::vector<Bytes> chaos_payload_seeds() {
+  std::vector<Bytes> seeds;
+  for (const char* gen : {"chaos_overload.ck.g1", "chaos_overload.ck.g2"}) {
+    auto inspected =
+        guard::read_checkpoint_unchecked(std::string(RANYCAST_CHAOS_DATA_DIR) + "/" + gen);
+    EXPECT_TRUE(inspected.has_value()) << gen;
+    if (inspected) seeds.push_back(std::move(inspected->payload));
+  }
+  return seeds;
+}
+
+Bytes mutate_bytes(const std::vector<Bytes>& seeds, Rng& rng) {
+  // Counts a forger would try: empty, small, just past the payload, and
+  // sizes that overflow any allocation.
+  constexpr std::uint64_t kCounts[] = {0, 1, 2, 7, 1000, 1ull << 32, 1ull << 40,
+                                       1ull << 63, ~0ull};
+  Bytes input = seeds[rng() % seeds.size()];
+  const std::size_t rounds = 1 + rng() % 3;
+  for (std::size_t round = 0; round < rounds && !input.empty(); ++round) {
+    switch (rng() % 3) {
+      case 0:  // flip a bit
+        input[rng() % input.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+        break;
+      case 1:  // truncate
+        input.resize(rng() % input.size());
+        break;
+      case 2: {  // splice a count over eight bytes
+        if (input.size() < 8) break;
+        std::uint64_t count = kCounts[rng() % std::size(kCounts)];
+        if (count == 1000) count = input.size() + rng() % 64;
+        const std::size_t at = rng() % (input.size() - 7);
+        for (std::size_t i = 0; i < 8; ++i) {
+          input[at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        }
+        break;
+      }
+    }
+  }
+  return input;
+}
+
+/// Decode a mutant as a `T`; an accepted mutant must re-encode to exactly
+/// its own bytes. Returns true when it was accepted.
+template <class T>
+bool exercise_binary(const Bytes& input) {
+  T value;
+  guard::ByteReader r(input);
+  bool accepted = false;
+  EXPECT_NO_THROW(accepted = guard::decode(r, value) && r.at_end());
+  if (!accepted) return false;
+  guard::ByteWriter w;
+  guard::encode(w, value);
+  EXPECT_EQ(w.data(), input) << "accepted bytes do not re-encode identically";
+  return true;
+}
+
+TEST(Fuzz, CheckpointSeedsRoundTrip) {
+  for (const Bytes& seed : chaos_payload_seeds()) {
+    EXPECT_TRUE(exercise_binary<ChaosPayload>(seed));
+  }
+  guard::ByteWriter w;
+  serve::ServeStats stats;
+  stats.queries = 12;
+  stats.world_events_applied = 3;
+  guard::encode(w, stats);
+  EXPECT_TRUE(exercise_binary<serve::ServeStats>(w.data()));
+}
+
+TEST(Fuzz, ChaosCheckpointPayloadMutationSweep) {
+  const auto seeds = chaos_payload_seeds();
+  ASSERT_EQ(seeds.size(), 2u);
+  Rng rng(20231018);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const Bytes input = mutate_bytes(seeds, rng);
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    accepted += exercise_binary<ChaosPayload>(input) ? 1 : 0;
+  }
+  // Flips inside doubles and counters keep a share of mutants decodable;
+  // zero would mean the mutator only ever produced noise.
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(Fuzz, ServeStatsMutationSweep) {
+  guard::ByteWriter w;
+  serve::ServeStats stats;
+  stats.queries = 1000;
+  stats.served = 900;
+  stats.shed_queue = 60;
+  stats.rejected = 40;
+  stats.epochs_published = 17;
+  guard::encode(w, stats);
+  const std::vector<Bytes> seeds{w.data()};
+  Rng rng(20231019);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Bytes input = mutate_bytes(seeds, rng);
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    accepted += exercise_binary<serve::ServeStats>(input) ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 // --- regression cases: inputs that once crashed or misbehaved -------------

@@ -3,10 +3,13 @@
 // including the surge scale a traffic_surge event installed before the kill
 // — byte-identical to an uninterrupted run, at worker counts {1, 2,
 // hardware}. A traffic checkpoint also must not resume into a traffic-less
-// run (or vice versa): the traffic config is part of the fingerprint.
+// run (or vice versa): the traffic config is part of the fingerprint. A
+// CRC-valid generation whose payload carries a forged count is quarantined
+// like a damaged one.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/exec/pool.hpp"
+#include "ranycast/guard/codec.hpp"
 #include "ranycast/traffic/model.hpp"
 
 namespace ranycast::traffic {
@@ -231,6 +235,75 @@ TEST(TrafficResume, DifferentCapacityModelDoesNotResume) {
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
   fs::remove(ck);
+}
+
+TEST(TrafficResume, ForgedSiteCountQuarantinesNewestGeneration) {
+  const fs::path dir = fs::temp_directory_path() / "ranycast_traffic_forged_count";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string ck = (dir / "run.ck").string();
+  {
+    auto laboratory = lab::Lab::create(tiny_config());
+    const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+    chaos::Engine engine(laboratory, im6);
+    engine.enable_traffic(tight_traffic());
+    guard::Supervisor supervisor;
+    guard::CheckpointPolicy policy;
+    policy.path = ck;
+    policy.after_step = [&](std::size_t done, std::size_t) {
+      if (done == 2) supervisor.cancel();
+    };
+    ASSERT_TRUE(engine.run_guarded(overload_plan(), supervisor, policy).has_value());
+  }
+
+  // Rewrite the newest generation (cursor 2) with the first traffic record's
+  // site count set to 2^40. The envelope is re-encoded, so its CRC is valid
+  // and only the payload decoder can catch the forgery.
+  const std::string newest = ck + ".g2";
+  auto inspected = guard::read_checkpoint_unchecked(newest);
+  ASSERT_TRUE(inspected.has_value()) << inspected.error().to_string();
+  guard::ByteReader r(inspected->payload);
+  const std::uint64_t cursor = r.u64();
+  std::vector<chaos::StepReport> steps;
+  std::vector<StepTraffic> traffic;
+  ASSERT_TRUE(guard::decode(r, steps) && guard::decode(r, traffic) && r.at_end());
+  ASSERT_EQ(cursor, 2u);
+  ASSERT_FALSE(traffic.empty());
+
+  guard::ByteWriter tail;
+  guard::encode(tail, traffic);
+  std::vector<std::uint8_t> forged_traffic = tail.take();
+  // traffic count u64 | index u64 | event (u32 length + bytes) | sites count
+  const std::size_t at = 8 + 8 + 4 + traffic[0].event.size();
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (std::size_t i = 0; i < 8; ++i) {
+    forged_traffic[at + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  guard::ByteWriter payload;
+  payload.u64(cursor);
+  guard::encode(payload, steps);
+  payload.bytes(forged_traffic);
+  const auto file = guard::encode_checkpoint(inspected->info.kind,
+                                             inspected->info.fingerprint, payload.data());
+  std::ofstream(newest, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(file.data()),
+             static_cast<std::streamsize>(file.size()));
+
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  chaos::Engine engine(laboratory, im6);
+  engine.enable_traffic(tight_traffic());
+  guard::Supervisor supervisor;
+  guard::CheckpointPolicy policy;
+  policy.path = ck;
+  policy.resume = true;
+  auto outcome = engine.run_guarded(overload_plan(), supervisor, policy);
+  ASSERT_TRUE(outcome.has_value()) << outcome.error();
+  EXPECT_TRUE(fs::exists(newest + ".quarantined"));
+  EXPECT_TRUE(outcome->sweep.resumed);
+  EXPECT_EQ(outcome->sweep.resumed_from, 1u) << "must fall back to the older generation";
+  EXPECT_EQ(chaos::report_to_json(outcome->report).dump(2), baseline_json());
+  fs::remove_all(dir);
 }
 
 }  // namespace

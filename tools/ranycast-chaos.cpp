@@ -64,8 +64,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "ranycast/guard/runtime.hpp"
-
 #include "ranycast/analysis/table.hpp"
 #include "ranycast/cdn/catalog.hpp"
 #include "ranycast/chaos/engine.hpp"
@@ -73,6 +71,7 @@
 #include "ranycast/core/flags.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/flight/flight.hpp"
+#include "ranycast/guard/cli.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
@@ -173,17 +172,12 @@ std::string render_table(const chaos::ChaosReport& report) {
 int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   const flags::Parser args(argc, argv);
-  for (const auto& bad : args.unknown({"scenario", "config", "cdn", "stubs", "probes",
-                                       "seed", "format", "out", "describe", "obs",
-                                       "journal", "trace-out",
-                                       "transient", "mrai-ms", "proc-ms", "damping",
-                                       "dns-ttl-ms", "max-events",
-                                       "traffic", "traffic-policy",
-                                       "traffic-capacity-mbps", "traffic-scale",
-                                       "delta", "delta-verify", "delta-threshold",
-                                       "deadline", "stall-timeout", "checkpoint",
-                                       "checkpoint-every", "checkpoint-keep", "resume",
-                                       "abort-after"})) {
+  for (const auto& bad : args.unknown(guard::with_guard_flags(
+           {"scenario", "config", "cdn", "stubs", "probes", "seed", "format", "out",
+            "describe", "obs", "journal", "trace-out", "transient", "mrai-ms", "proc-ms",
+            "damping", "dns-ttl-ms", "max-events", "traffic", "traffic-policy",
+            "traffic-capacity-mbps", "traffic-scale", "delta", "delta-verify",
+            "delta-threshold"}))) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
     return 2;
   }
@@ -348,34 +342,17 @@ int main(int argc, char** argv) {
     engine.enable_delta(dcfg);
   }
 
-  const bool guarded = args.has("deadline") || args.has("stall-timeout") ||
-                       args.has("checkpoint") || args.has("resume");
+  const auto guarded = guard::bind_guard_flags(args);
+  if (!guarded) {
+    std::fprintf(stderr, "%s\n", guarded.error().c_str());
+    return 2;
+  }
   obs::journal_event("phase_begin", {F::str("phase", "chaos.run")});
   chaos::ChaosReport report;
   bool truncated = false;
-  if (guarded) {
-    guard::RunLimits limits;
-    limits.deadline_s = args.get_or("deadline", 0.0);
-    limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-    guard::CheckpointPolicy policy;
-    policy.path = args.get_or("checkpoint", std::string());
-    policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-    policy.keep = static_cast<std::size_t>(args.get_or("checkpoint-keep", std::int64_t{3}));
-    policy.resume = args.has("resume");
-    if (policy.resume && policy.path.empty()) {
-      std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-      return 2;
-    }
-    if (args.has("abort-after")) {
-      // Simulate a crash for recovery tests: no cleanup, no stream flush —
-      // the checkpoint fsynced after step N is all a resume may rely on.
-      const auto fatal_step = static_cast<std::size_t>(
-          args.get_or("abort-after", std::int64_t{0}));
-      policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-        if (done == fatal_step) std::_Exit(137);
-      };
-    }
-    guard::Supervisor supervisor(limits);
+  if (guarded->requested) {
+    const guard::CheckpointPolicy& policy = guarded->policy;
+    guard::Supervisor supervisor(guarded->limits);
     // SIGTERM/SIGINT stop the timeline cooperatively at the next step
     // boundary: the sweep flushes a final checkpoint plus the `stopped`
     // journal line and the tool exits 3 with a resumable truncated report.

@@ -7,8 +7,8 @@
 //                       [--traffic-policy spill|shed] [--traffic-capacity-mbps X]
 //                       [--traffic-scale X]
 //                       [--deadline SECONDS] [--stall-timeout SECONDS]
-//                       [--checkpoint FILE] [--checkpoint-every K] [--resume]
-//                       [--abort-after N]
+//                       [--checkpoint FILE] [--checkpoint-every K] [--checkpoint-keep K]
+//                       [--resume] [--abort-after N]
 //
 // Experiments:
 //   table3     Imperva-6 vs Imperva-NS tail latency (80/90/95th per area)
@@ -39,7 +39,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "ranycast/guard/runtime.hpp"
+#include "ranycast/guard/cli.hpp"
 #include "ranycast/resilience/stability.hpp"
 
 #include "ranycast/analysis/export.hpp"
@@ -279,33 +279,19 @@ int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
     return 2;
   }
 
-  const bool guarded = args.has("deadline") || args.has("stall-timeout") ||
-                       args.has("checkpoint") || args.has("resume");
+  const auto guarded = guard::bind_guard_flags(args);
   if (!guarded) {
+    std::fprintf(stderr, "%s\n", guarded.error().c_str());
+    return 2;
+  }
+  if (!guarded->requested) {
     print_stability(
         resilience::catchment_stability(laboratory, handle.deployment, region, trials), csv);
     return 0;
   }
 
-  guard::RunLimits limits;
-  limits.deadline_s = args.get_or("deadline", 0.0);
-  limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-  guard::CheckpointPolicy policy;
-  policy.path = args.get_or("checkpoint", std::string());
-  policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-  policy.resume = args.has("resume");
-  if (policy.resume && policy.path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
-    return 2;
-  }
-  if (args.has("abort-after")) {
-    const auto fatal_step =
-        static_cast<std::size_t>(args.get_or("abort-after", std::int64_t{0}));
-    policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-      if (done == fatal_step) std::_Exit(137);
-    };
-  }
-  guard::Supervisor supervisor(limits);
+  const guard::CheckpointPolicy& policy = guarded->policy;
+  guard::Supervisor supervisor(guarded->limits);
   // SIGTERM/SIGINT cancel cooperatively: a final checkpoint and `stopped`
   // journal line are flushed, and the exit-3 truncated run resumes cleanly.
   const guard::ScopedSignalCancel signal_cancel(supervisor);
@@ -334,11 +320,10 @@ int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad :
-       args.unknown({"config", "experiment", "format", "dump-config", "obs", "cdn",
-                     "region", "trials", "stubs", "probes", "seed", "deadline",
-                     "stall-timeout", "checkpoint", "checkpoint-every", "resume",
-                     "abort-after", "journal", "trace-out", "traffic-policy",
-                     "traffic-capacity-mbps", "traffic-scale"})) {
+       args.unknown(guard::with_guard_flags(
+           {"config", "experiment", "format", "dump-config", "obs", "cdn", "region",
+            "trials", "stubs", "probes", "seed", "journal", "trace-out", "traffic-policy",
+            "traffic-capacity-mbps", "traffic-scale"}))) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
     return 2;
   }

@@ -52,7 +52,7 @@
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/core/rng.hpp"
-#include "ranycast/guard/runtime.hpp"
+#include "ranycast/guard/cli.hpp"
 #include "ranycast/guard/sweep.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/obs/flight.hpp"
@@ -185,22 +185,14 @@ ServeKnobs knobs_from_flags(const flags::Parser& args, chaos::FaultPlan world_pl
 void journal_summary(const serve::Server& server, std::size_t completed,
                      std::size_t ticks) {
   using F = obs::JournalField;
-  const serve::ServeStats s = server.stats();
-  obs::journal_event(
-      "serve_summary",
-      {F::u64_field("ticks_completed", completed), F::u64_field("ticks_planned", ticks),
-       F::u64_field("queries", s.queries), F::u64_field("served", s.served),
-       F::u64_field("shed_queue", s.shed_queue),
-       F::u64_field("shed_deadline", s.shed_deadline),
-       F::u64_field("shed_rate", s.shed_rate), F::u64_field("rejected", s.rejected),
-       F::u64_field("epochs", s.epochs_published),
-       F::u64_field("builds_failed", s.builds_failed),
-       F::u64_field("world_events", s.world_events_applied),
-       F::u64_field("p50_us", server.latency().quantile_us(0.50)),
-       F::u64_field("p99_us", server.latency().quantile_us(0.99)),
-       F::u64_field("ladder_transitions", server.transitions().size()),
-       F::str("final_rung", std::string(serve::to_string(server.rung())))},
-      /*durable=*/true);
+  std::vector<F> line{F::u64_field("ticks_completed", completed),
+                      F::u64_field("ticks_planned", ticks)};
+  for (F& field : obs::journal_fields(server.stats())) line.push_back(std::move(field));
+  line.push_back(F::u64_field("p50_us", server.latency().quantile_us(0.50)));
+  line.push_back(F::u64_field("p99_us", server.latency().quantile_us(0.99)));
+  line.push_back(F::u64_field("ladder_transitions", server.transitions().size()));
+  line.push_back(F::str("final_rung", std::string(serve::to_string(server.rung()))));
+  obs::journal_event("serve_summary", line, /*durable=*/true);
 }
 
 void print_summary(const serve::Server& server) {
@@ -254,28 +246,15 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
     });
   }
 
-  guard::RunLimits limits;
-  limits.deadline_s = args.get_or("deadline", 0.0);
-  limits.stall_timeout_s = args.get_or("stall-timeout", 0.0);
-  guard::CheckpointPolicy policy;
-  policy.kind = guard::CheckpointKind::ServeState;
-  policy.path = args.get_or("checkpoint", std::string());
-  policy.every = static_cast<std::size_t>(args.get_or("checkpoint-every", std::int64_t{1}));
-  policy.keep = static_cast<std::size_t>(args.get_or("checkpoint-keep", std::int64_t{3}));
-  policy.resume = args.has("resume");
-  if (policy.resume && policy.path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint FILE\n");
+  auto guarded = guard::bind_guard_flags(args);
+  if (!guarded) {
+    std::fprintf(stderr, "%s\n", guarded.error().c_str());
     return 2;
   }
-  if (args.has("abort-after")) {
-    const auto fatal_step =
-        static_cast<std::size_t>(args.get_or("abort-after", std::int64_t{0}));
-    policy.after_step = [fatal_step](std::size_t done, std::size_t) {
-      if (done == fatal_step) std::_Exit(137);
-    };
-  }
+  guard::CheckpointPolicy& policy = guarded->policy;
+  policy.kind = guard::CheckpointKind::ServeState;
 
-  guard::Supervisor supervisor(limits);
+  guard::Supervisor supervisor(guarded->limits);
   // SIGTERM/SIGINT stop cooperatively at the next tick: final checkpoint,
   // `stopped` journal line, exit 3, resumable.
   const guard::ScopedSignalCancel signal_cancel(supervisor);
@@ -308,11 +287,13 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
     w.u64(answers.bytes());
     server.save(w);
   };
+  // The answers file is cut back before the server state loads: a rejected
+  // generation leads to an older one, whose shorter cut must still apply,
+  // and Server::load fast-forwards the world only once it has decoded.
   hooks.load = [&](guard::ByteReader& r) {
     const std::uint64_t committed = r.u64();
-    if (!r.ok() || !server.load(r)) return false;
-    if (answers.active() && !answers.truncate_to(committed)) return false;
-    return true;
+    if (!r.ok() || (answers.active() && !answers.truncate_to(committed))) return false;
+    return server.load(r);
   };
 
   // The identity a resume must match: the serving config and plans (via
@@ -402,17 +383,15 @@ int run_live(const flags::Parser& args, lab::Lab& laboratory,
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
-  for (const auto& bad : args.unknown(
+  for (const auto& bad : args.unknown(guard::with_guard_flags(
            {"scenario", "cdn",           "ticks",          "tick-ns",
             "queries-per-tick",          "budget-us",      "qps",
             "burst",    "queue-depth",   "service-us",     "refresh-ns",
             "build-ns", "fresh-ns",      "stale-ns",       "reject-ns",
             "freeze-failures",           "fault-intensity", "fault-seed",
             "config",   "stubs",         "probes",         "seed",
-            "answers",  "journal",       "obs",            "deadline",
-            "stall-timeout",             "checkpoint",     "checkpoint-every",
-            "checkpoint-keep",           "resume",         "abort-after",
-            "abort-at", "abort-epoch",   "duration-ms",    "threads"})) {
+            "answers",  "journal",       "obs",            "abort-at",
+            "abort-epoch",               "duration-ms",    "threads"}))) {
     std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
     return 2;
   }
