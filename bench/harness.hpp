@@ -112,11 +112,11 @@ class ObsSession {
     exec::ThreadPool::global().publish_stats();
     const std::uint64_t rss_kb = obs::rss_high_water_kb();
     if (journal_.is_open()) {
-      using F = obs::JournalField;
       journal_.event("bench_sample",
-                     {F::str("bench", name_), F::f64_field("wall_ms", wall_ms),
-                      F::u64_field("rss_hwm_kb", rss_kb),
-                      F::u64_field("dropped_events", obs::dropped_events())},
+                     {{"bench", name_},
+                      {"wall_ms", wall_ms},
+                      {"rss_hwm_kb", rss_kb},
+                      {"dropped_events", obs::dropped_events()}},
                      /*durable=*/true);
     }
     if (obs::write_bench_report(name_, wall_ms)) {

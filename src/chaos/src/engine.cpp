@@ -48,15 +48,14 @@ struct StepFailure : std::runtime_error {
 void journal_step(const StepReport& s, std::uint64_t dur_ns,
                   const std::optional<bgp::DeltaStats>& delta) {
   if (obs::journal() == nullptr) return;
-  using F = obs::JournalField;
-  std::vector<F> line = obs::journal_fields(s);
-  line.push_back(F::u64_field("dur_ns", dur_ns));
+  obs::EventFields line = obs::journal_fields(s);
+  line.emplace_back("dur_ns", dur_ns);
   // Delta-locality accounting, present only on steps re-solved through the
   // incremental path (the report format itself is delta-independent).
   if (delta) {
-    line.push_back(F::u64_field("delta_affected_ases", delta->affected_ases));
-    line.push_back(F::u64_field("delta_fallback_full", delta->full_regions));
-    line.push_back(F::u64_field("delta_regions", delta->delta_regions));
+    line.emplace_back("delta_affected_ases", delta->affected_ases);
+    line.emplace_back("delta_fallback_full", delta->full_regions);
+    line.emplace_back("delta_regions", delta->delta_regions);
   }
   obs::journal_event("chaos_step", line);
 }
@@ -65,26 +64,25 @@ void journal_step(const StepReport& s, std::uint64_t dur_ns,
 /// step's chaos_step line (same dedup-by-index contract on resume).
 void journal_traffic(const traffic::StepTraffic& t) {
   if (obs::journal() == nullptr) return;
-  using F = obs::JournalField;
-  obs::journal_event(
-      "traffic_step",
-      {F::u64_field("index", t.index), F::str("event", t.event),
-       F::f64_field("offered_mbps", t.solve.offered_mbps),
-       F::f64_field("served_mbps", t.solve.served_mbps),
-       F::f64_field("shed_mbps", t.solve.shed_mbps),
-       F::f64_field("dropped_mbps", t.solve.dropped_mbps),
-       F::u64_field("flows_offered", t.solve.flows_offered),
-       F::u64_field("flows_shed", t.solve.flows_shed),
-       F::u64_field("flows_dropped", t.solve.flows_dropped),
-       F::u64_field("flows_unrouted", t.solve.flows_unrouted),
-       F::u64_field("overloaded_sites", t.solve.overloaded_sites),
-       F::u64_field("tipped_sites", t.tipped_sites),
-       F::u64_field("cascade_depth", t.cascade_depth),
-       F::f64_field("max_utilization", t.solve.max_utilization),
-       F::f64_field("mean_utilization", t.solve.mean_utilization),
-       F::f64_field("queue_delay_p90_ms", t.solve.queue_delay_p90_ms),
-       F::f64_field("inflated_p50_ms", t.inflated_p50_ms),
-       F::f64_field("inflated_p90_ms", t.inflated_p90_ms)});
+  obs::journal_event("traffic_step",
+                     {{"index", t.index},
+                      {"event", t.event},
+                      {"offered_mbps", t.solve.offered_mbps},
+                      {"served_mbps", t.solve.served_mbps},
+                      {"shed_mbps", t.solve.shed_mbps},
+                      {"dropped_mbps", t.solve.dropped_mbps},
+                      {"flows_offered", t.solve.flows_offered},
+                      {"flows_shed", t.solve.flows_shed},
+                      {"flows_dropped", t.solve.flows_dropped},
+                      {"flows_unrouted", t.solve.flows_unrouted},
+                      {"overloaded_sites", t.solve.overloaded_sites},
+                      {"tipped_sites", t.tipped_sites},
+                      {"cascade_depth", t.cascade_depth},
+                      {"max_utilization", t.solve.max_utilization},
+                      {"mean_utilization", t.solve.mean_utilization},
+                      {"queue_delay_p90_ms", t.solve.queue_delay_p90_ms},
+                      {"inflated_p50_ms", t.inflated_p50_ms},
+                      {"inflated_p90_ms", t.inflated_p90_ms}});
 }
 
 }  // namespace

@@ -243,10 +243,10 @@ io::Json report_to_json(const ChaosReport& report) {
   io::JsonObject out{
       {"plan", io::Json(report.plan)},
       {"deployment", io::Json(report.deployment)},
-      {"seed", io::Json(static_cast<std::int64_t>(report.seed))},
-      {"probes", io::Json(static_cast<std::int64_t>(report.probes))},
-      {"planned_steps", io::Json(static_cast<std::int64_t>(report.planned_steps))},
-      {"completed_steps", io::Json(static_cast<std::int64_t>(report.completed_steps))},
+      {"seed", io::seed_json(report.seed)},
+      {"probes", io::Json(report.probes)},
+      {"planned_steps", io::Json(report.planned_steps)},
+      {"completed_steps", io::Json(report.completed_steps)},
       {"truncated", io::Json(report.truncated)},
       {"steps", std::move(steps)},
   };
@@ -256,7 +256,7 @@ io::Json report_to_json(const ChaosReport& report) {
     for (io::Json& step : traffic.as_array()) {
       io::JsonArray& sites = step.as_object()["solve"].as_object()["sites"].as_array();
       for (std::size_t i = 0; i < sites.size(); ++i) {
-        sites[i].as_object()["site"] = static_cast<std::int64_t>(i);
+        sites[i].as_object()["site"] = i;
       }
     }
     out["traffic"] = std::move(traffic);

@@ -152,21 +152,21 @@ StepTransient Plane::step(std::size_t index, std::string event,
   }
 
   if (obs::journal() != nullptr) {
-    using F = obs::JournalField;
     // Per-region convergence/blackhole envelope (virtual µs), which the
     // trace exporter renders as async blackhole windows.
-    std::string regions_json = "[";
+    io::JsonArray regions;
     for (std::size_t r = 0; r < out.regions.size(); ++r) {
       const RegionTransient& rt = out.regions[r];
-      if (r > 0) regions_json += ',';
-      regions_json += "{\"region\":" + std::to_string(r) +
-                      ",\"converged_us\":" + std::to_string(rt.converged_us) +
-                      ",\"max_blackhole_us\":" + std::to_string(rt.max_blackhole_us) +
-                      ",\"blackholed\":" + std::to_string(rt.nodes_blackholed) + "}";
+      // Filled in place: an initializer list of temporaries trips GCC 12's
+      // -Wmaybe-uninitialized false positive in std::variant (PR105593).
+      io::JsonObject& region = regions.emplace_back(io::JsonObject{}).as_object();
+      region.emplace("region", r);
+      region.emplace("converged_us", rt.converged_us);
+      region.emplace("max_blackhole_us", rt.max_blackhole_us);
+      region.emplace("blackholed", rt.nodes_blackholed);
     }
-    regions_json += ']';
-    std::vector<F> line = obs::journal_fields(out);
-    line.push_back(F::raw("regions", std::move(regions_json)));
+    obs::EventFields line = obs::journal_fields(out);
+    line.emplace_back("regions", std::move(regions));
     obs::journal_event("transient_window", line);
   }
   return out;

@@ -2,10 +2,8 @@
 // into Chrome `traceEvents` JSON loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
 //
-// This sits above ranycast::io (it parses JSON); the write side lives in
-// ranycast::obs, which sits below io and only emits. The split keeps obs
-// linkable from the innermost layers while forensics tooling gets a real
-// parser.
+// The write side lives in ranycast::obs; both ends go through the one JSON
+// implementation (ranycast::json), so a value reads back exactly as written.
 //
 // Export mapping (see docs/observability.md for the walkthrough):
 //   flight spans        -> "X" complete events, keyed by the real OS tid
@@ -54,8 +52,8 @@ struct JournalFile {
 
 /// How one journal line classified during parsing.
 enum class LineStatus {
-  Event,      ///< parsed (and CRC-validated when tagged)
-  Corrupt,    ///< carries a CRC tag that does not match the bytes
+  Event,      ///< parsed and CRC-validated
+  Corrupt,    ///< CRC tag does not match the bytes, or a parseable line has no tag
   Malformed,  ///< not parseable JSON (e.g. a kill-cut or mid-append tail)
 };
 
@@ -69,9 +67,10 @@ LineStatus parse_journal_line(const std::string& line, JournalEvent& out);
 /// fatal — the journal of a killed run must stay readable up to the last
 /// completed step. Lines carrying the writer's `,"crc":"xxxxxxxx"}` tag are
 /// CRC-checked first: a mismatch (mid-file bit rot, spliced garbage) counts
-/// as corrupt_lines even when the damaged line still parses as JSON.
-/// Tag-less parseable lines are legacy journals and accepted. Fails only
-/// when the file cannot be read at all.
+/// as corrupt_lines even when the damaged line still parses as JSON. A
+/// parseable line without the tag counts as corrupt too; an unparseable one
+/// is malformed (a kill-cut final line is a truncated tail). Fails only when
+/// the file cannot be read at all.
 core::Expected<JournalFile, std::string> load_journal(const std::string& path);
 
 /// Reads an obs::flight_ndjson() dump back into per-thread snapshots

@@ -19,8 +19,8 @@ io::Json base_event(const char* ph, std::string name, double ts, std::uint64_t p
   o["ph"] = io::Json(ph);
   o["name"] = io::Json(std::move(name));
   o["ts"] = io::Json(ts);
-  o["pid"] = io::Json(static_cast<std::int64_t>(pid));
-  o["tid"] = io::Json(static_cast<std::int64_t>(tid));
+  o["pid"] = io::Json(pid);
+  o["tid"] = io::Json(tid);
   return io::Json(std::move(o));
 }
 
@@ -42,7 +42,7 @@ void add_async_pair(io::JsonArray& out, std::string cat, std::string name,
     io::Json e = base_event(ph, name, ph[0] == 'b' ? begin_us : std::max(begin_us, end_us),
                             pid, 0);
     e.as_object()["cat"] = io::Json(cat);
-    e.as_object()["id"] = io::Json(static_cast<std::int64_t>(id));
+    e.as_object()["id"] = io::Json(id);
     out.push_back(std::move(e));
   }
 }
@@ -79,8 +79,8 @@ std::string chrome_trace(const JournalFile& journal,
       x.as_object()["dur"] = io::Json(to_us(e.dur_ns));
       io::JsonObject args;
       args["parent"] = io::Json(e.parent);
-      args["depth"] = io::Json(static_cast<std::int64_t>(e.depth));
-      args["seq"] = io::Json(static_cast<std::int64_t>(e.seq));
+      args["depth"] = io::Json(e.depth);
+      args["seq"] = io::Json(e.seq);
       x.as_object()["args"] = io::Json(std::move(args));
       out.push_back(std::move(x));
     }

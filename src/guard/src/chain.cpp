@@ -109,11 +109,11 @@ void quarantine(const ChainEntry& entry, const GuardError& why) {
   (void)vfs::rename_file(entry.file, aside);
   count_recovery("guard.recovery.quarantined");
   obs::journal_event("checkpoint_quarantined",
-                     {obs::JournalField::str("file", entry.file),
-                      obs::JournalField::str("quarantined_as", aside),
-                      obs::JournalField::u64_field("generation", entry.generation),
-                      obs::JournalField::str("reason", to_string(why.kind)),
-                      obs::JournalField::str("detail", why.message)},
+                     {{"file", entry.file},
+                      {"quarantined_as", aside},
+                      {"generation", entry.generation},
+                      {"reason", std::string(to_string(why.kind))},
+                      {"detail", why.message}},
                      /*durable=*/true);
 }
 
@@ -140,9 +140,6 @@ void CheckpointChain::prime_for_write() {
         from_manifest = true;
       }
     }
-    // A legacy single-file checkpoint (kind != ChainManifest) is left in
-    // place until the first manifest write replaces it; it carries no
-    // generation number so the chain starts at 1 regardless.
   }
   if (!from_manifest) {
     entries_ = scan_generations(path_);
@@ -227,18 +224,10 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
   bool manifest_rebuilt = false;
 
   if (vfs::exists(path_)) {
+    // Anything but a readable manifest envelope at the policy path is
+    // treated alike: the chain is rebuilt from the generation files.
     auto inspected = read_checkpoint_unchecked(path_);
-    if (inspected) {
-      if (inspected->info.kind != CheckpointKind::ChainManifest) {
-        // Legacy single-file checkpoint: validate fully and return it.
-        auto payload = read_checkpoint(path_, expected_kind, expected_fingerprint);
-        if (!payload) return core::unexpected(std::move(payload).error());
-        if (accept && !accept(*payload)) return undecodable(path_);
-        RecoveredCheckpoint out;
-        out.payload = std::move(*payload);
-        out.legacy = true;
-        return out;
-      }
+    if (inspected && inspected->info.kind == CheckpointKind::ChainManifest) {
       if (inspected->info.fingerprint != expected_fingerprint) {
         return core::unexpected(make_error(
             GuardErrorKind::FingerprintMismatch, path_,
@@ -251,16 +240,15 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
       }
     }
     if (entries.empty()) {
-      // Manifest unreadable or undecodable: rebuild the chain from the
-      // generation files themselves.
+      // Manifest unreadable, not a manifest, or undecodable: rebuild the
+      // chain from the generation files themselves.
       entries = scan_generations(path_);
       manifest_rebuilt = true;
       if (!entries.empty()) {
         count_recovery("guard.recovery.manifest_rebuilds");
         obs::journal_event(
             "checkpoint_manifest_rebuilt",
-            {obs::JournalField::str("path", path_),
-             obs::JournalField::u64_field("generations", entries.size())},
+            {{"path", path_}, {"generations", entries.size()}},
             /*durable=*/true);
       }
     }
@@ -293,10 +281,10 @@ core::Expected<RecoveredCheckpoint, GuardError> CheckpointChain::read(
         count_recovery("guard.recovery.fallbacks");
         obs::journal_event(
             "checkpoint_fallback",
-            {obs::JournalField::str("path", path_),
-             obs::JournalField::u64_field("generation", entry.generation),
-             obs::JournalField::u64_field("skipped", out.fallbacks),
-             obs::JournalField::u64_field("quarantined", out.quarantined)},
+            {{"path", path_},
+             {"generation", entry.generation},
+             {"skipped", out.fallbacks},
+             {"quarantined", out.quarantined}},
             /*durable=*/true);
       }
       return out;
@@ -354,14 +342,11 @@ core::Expected<ChainVerifyReport, GuardError> chain_verify(const std::string& pa
   bool have_manifest_sums = false;
   if (vfs::exists(path)) {
     auto inspected = read_checkpoint_unchecked(path);
-    if (!inspected) {
-      report.problems.push_back(path + ": manifest: " + inspected.error().message);
+    if (!inspected || inspected->info.kind != CheckpointKind::ChainManifest) {
+      report.problems.push_back(path + ": manifest: " +
+                                (inspected ? std::string("not a chain manifest envelope")
+                                           : inspected.error().message));
       entries = scan_generations(path);
-    } else if (inspected->info.kind != CheckpointKind::ChainManifest) {
-      report.legacy = true;
-      report.generations = 1;
-      report.valid = 1;
-      return report;
     } else {
       std::uint32_t keep = 0;
       if (parse_manifest(path, std::span<const std::uint8_t>(inspected->payload), &keep,

@@ -24,7 +24,6 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
                                                   Supervisor& supervisor,
                                                   const CheckpointPolicy& policy,
                                                   const SweepHooks& hooks) {
-  using F = obs::JournalField;
   SweepResult result;
   result.total = total;
 
@@ -61,12 +60,12 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
     // `generation`/`fallbacks`/`quarantined` record how the chain recovered:
     // a clean resume reads the newest generation with zero fallbacks.
     obs::journal_event("resumed",
-                       {F::u64_field("cursor", cursor), F::u64_field("total", total),
-                        F::str("checkpoint", policy.path),
-                        F::u64_field("generation", recovered->generation),
-                        F::u64_field("fallbacks", recovered->fallbacks),
-                        F::u64_field("quarantined", recovered->quarantined),
-                        F::bool_field("legacy", recovered->legacy)},
+                       {{"cursor", cursor},
+                        {"total", total},
+                        {"checkpoint", policy.path},
+                        {"generation", recovered->generation},
+                        {"fallbacks", recovered->fallbacks},
+                        {"quarantined", recovered->quarantined}},
                        /*durable=*/true);
   }
 
@@ -84,8 +83,7 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
     if (!written) return core::unexpected(std::move(written).error());
     checkpointed = cursor;
     obs::journal_event("checkpoint",
-                       {F::u64_field("cursor", cursor), F::str("path", policy.path),
-                        F::u64_field("generation", *written)},
+                       {{"cursor", cursor}, {"path", policy.path}, {"generation", *written}},
                        /*durable=*/true);
     return std::monostate{};
   };
@@ -125,9 +123,9 @@ core::Expected<SweepResult, GuardError> run_sweep(std::size_t total,
       (void)write_checkpoint_at(result.completed);
     }
     obs::journal_event("stopped",
-                       {F::str("reason", reason_name(result.stopped)),
-                        F::u64_field("completed", result.completed),
-                        F::u64_field("total", total)},
+                       {{"reason", reason_name(result.stopped)},
+                        {"completed", result.completed},
+                        {"total", total}},
                        /*durable=*/true);
   }
   return result;

@@ -46,6 +46,14 @@ lab::LabConfig lab_config_from_json(const Json& json);
 /// Serialize a LabConfig (the exact inverse of the reader for covered keys).
 Json lab_config_to_json(const lab::LabConfig& config);
 
+/// A seed as the configuration and report JSON print it: through a double
+/// (via int64), so seeds at or above 2^53 round. io::config_fingerprint and
+/// the report bytes hash this form, so it stays while checkpoints and
+/// recorded report digests depend on it; every other integer is exact.
+inline Json seed_json(std::uint64_t seed) {
+  return Json(static_cast<double>(static_cast<std::int64_t>(seed)));
+}
+
 /// Stable 64-bit fingerprint of a configuration: a hash of its canonical
 /// JSON serialization mixed with the seed. Two configs fingerprint equal
 /// iff every covered knob matches — the binding guard checkpoints use to

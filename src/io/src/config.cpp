@@ -92,7 +92,7 @@ lab::LabConfig lab_config_from_json(const Json& json) {
 
 Json lab_config_to_json(const lab::LabConfig& config) {
   JsonObject world{
-      {"seed", Json(static_cast<std::int64_t>(config.world.seed))},
+      {"seed", seed_json(config.world.seed)},
       {"tier1_count", Json(config.world.tier1_count)},
       {"tier1_city_coverage", Json(config.world.tier1_city_coverage)},
       {"international_transits", Json(config.world.international_transits)},
@@ -115,7 +115,7 @@ Json lab_config_to_json(const lab::LabConfig& config) {
       {"resolver_public_ecs_prob", Json(config.census.resolver_public_ecs_prob)},
       {"access_extra_mean_ms", Json(config.census.access_extra_mean_ms)},
       {"access_extra_cap_ms", Json(config.census.access_extra_cap_ms)},
-      {"seed", Json(static_cast<std::int64_t>(config.census.seed))},
+      {"seed", seed_json(config.census.seed)},
   };
   JsonObject latency{
       {"ms_per_km", Json(config.latency.ms_per_km)},
@@ -130,11 +130,11 @@ Json lab_config_to_json(const lab::LabConfig& config) {
         {"wrong_country_prob", Json(db.wrong_country_prob)},
         {"intl_home_bias_prob", Json(db.intl_home_bias_prob)},
         {"wrong_city_prob", Json(db.wrong_city_prob)},
-        {"seed", Json(static_cast<std::int64_t>(db.seed))},
+        {"seed", seed_json(db.seed)},
     }));
   }
   return Json(JsonObject{
-      {"seed", Json(static_cast<std::int64_t>(config.seed))},
+      {"seed", seed_json(config.seed)},
       {"observability",
        config.observability ? Json(*config.observability) : Json(nullptr)},
       {"world", Json(std::move(world))},

@@ -14,24 +14,29 @@
 //
 // Every line ends with a self-checking tag `,"crc":"xxxxxxxx"}` — a CRC-32
 // (as 8 lowercase hex digits) over all preceding bytes of the line. Readers
-// (ranycast::flight) recompute it to tell three failure modes apart:
-// mid-file bit rot (crc mismatch → the line is skipped and counted), a
-// kill-cut final line (no tag, unparseable → truncated tail), and legacy
-// journals written before the tag existed (no tag, parseable → accepted).
+// (ranycast::flight) recompute it to tell failure modes apart: a line whose
+// tag does not match its bytes, or that parses but carries no tag, is
+// corrupt (skipped and counted); a kill-cut final line (no tag,
+// unparseable) is a truncated tail.
 //
-// The journal deliberately lives in obs (below ranycast::io): it writes
-// JSON with its own tiny emitter and parses nothing. Reading journals back
-// is ranycast::flight's job. All writes go through ranycast::vfs so fault
-// plans can torture the journal path too.
+// Values are io::Json, dumped by the one JSON writer (ranycast::json): the
+// top-level keys keep their call order, nested objects are key-sorted,
+// integers print exactly and doubles exactly as the report JSON prints
+// them, so both parse back to the same bits. Reading journals back is
+// ranycast::flight's job. All writes go through ranycast::vfs so fault plans
+// can torture the journal path too.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ranycast/core/record.hpp"
+#include "ranycast/io/json.hpp"
 #include "ranycast/vfs/vfs.hpp"
 
 namespace ranycast::obs {
@@ -39,27 +44,8 @@ namespace ranycast::obs {
 /// Byte length of the per-line CRC tag: `,"crc":"` + 8 hex + `"}`.
 inline constexpr std::size_t kJournalCrcTagSize = 18;
 
-/// One typed key/value in a journal event.
-struct JournalField {
-  enum class Kind { String, U64, I64, F64, Bool, RawJson };
-
-  std::string key;
-  Kind kind{Kind::String};
-  std::string text;       // String / RawJson payload
-  std::uint64_t u64{0};
-  std::int64_t i64{0};
-  double f64{0.0};
-  bool boolean{false};
-
-  static JournalField str(std::string key, std::string_view value);
-  static JournalField u64_field(std::string key, std::uint64_t value);
-  static JournalField i64_field(std::string key, std::int64_t value);
-  static JournalField f64_field(std::string key, double value);
-  static JournalField bool_field(std::string key, bool value);
-  /// `json` must already be a valid JSON value (object/array/number/...);
-  /// it is spliced into the line verbatim.
-  static JournalField raw(std::string key, std::string json);
-};
+/// A journal event's fields after `type` and `ts_ns`, in line order.
+using EventFields = std::vector<std::pair<std::string, io::Json>>;
 
 /// Append-only NDJSON writer over a POSIX fd. Not copyable; movable.
 class Journal {
@@ -84,8 +70,7 @@ class Journal {
   /// Appends one event line. `ts_ns` is stamped automatically from
   /// obs::trace_now_ns() so journal events align with flight-recorder spans.
   /// When `durable`, the line is fsync'd before returning.
-  bool event(std::string_view type, const std::vector<JournalField>& fields,
-             bool durable = false);
+  bool event(std::string_view type, const EventFields& fields, bool durable = false);
 
   /// fsync the underlying fd (used at phase boundaries).
   bool sync();
@@ -108,22 +93,18 @@ void set_journal(Journal* journal) noexcept;
 Journal* journal() noexcept;
 
 /// A record's scalar fields (core/record.hpp) as journal fields, in list
-/// order: unsigned integers as u64, bool, double and string as themselves.
-/// Nested records and lists are left out; a line that needs them appends
-/// its own summary.
+/// order. Nested records and lists are left out; a line that needs them
+/// appends its own summary.
 template <class T>
-std::vector<JournalField> journal_fields(const T& record) {
-  std::vector<JournalField> out;
+EventFields journal_fields(const T& record) {
+  EventFields out;
   const auto visit = [&out](std::string_view key, const auto& field) {
     using F = std::remove_cvref_t<decltype(field)>;
-    if constexpr (std::is_same_v<F, bool>) {
-      out.push_back(JournalField::bool_field(std::string(key), field));
-    } else if constexpr (std::is_same_v<F, double>) {
-      out.push_back(JournalField::f64_field(std::string(key), field));
-    } else if constexpr (std::is_same_v<F, std::string>) {
-      out.push_back(JournalField::str(std::string(key), field));
-    } else if constexpr (std::is_unsigned_v<F>) {
-      out.push_back(JournalField::u64_field(std::string(key), field));
+    if constexpr (std::is_arithmetic_v<F> || std::is_same_v<F, std::string>) {
+      // Built in place: moving a temporary io::Json trips GCC 12's
+      // -Wmaybe-uninitialized false positive in std::variant (PR105593).
+      out.emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                       std::forward_as_tuple(field));
     }
   };
   fields(visit, record);
@@ -132,7 +113,7 @@ std::vector<JournalField> journal_fields(const T& record) {
 
 /// Convenience: appends an event to the installed journal, if any.
 /// Returns false only on a write error (not when no journal is installed).
-bool journal_event(std::string_view type, const std::vector<JournalField>& fields,
+bool journal_event(std::string_view type, const EventFields& fields,
                    bool durable = false);
 
 }  // namespace ranycast::obs

@@ -23,6 +23,8 @@
 #include <string_view>
 #include <vector>
 
+#include "ranycast/core/record.hpp"
+
 namespace ranycast::obs {
 
 /// Whether instrumentation records anything (one relaxed atomic load).
@@ -101,6 +103,18 @@ class Histogram {
   std::atomic<double> min_;
   std::atomic<double> max_;
 };
+
+/// A histogram's summary as reports print it; the bucket layout is left out.
+template <class V, core::RecordOf<Histogram::Snapshot> T>
+void fields(V& v, T& s) {
+  v("count", s.count);
+  v("sum", s.sum);
+  v("min", s.min);
+  v("max", s.max);
+  v("p50", s.p50);
+  v("p90", s.p90);
+  v("p99", s.p99);
+}
 
 /// The process-wide metric namespace. Thread-safe; lookups take a mutex,
 /// returned references never invalidate.

@@ -8,9 +8,9 @@
 // — only when observability is enabled, so RANYCAST_OBS=0 runs leave no
 // files behind.
 //
-// obs deliberately does not depend on ranycast::io (which sits above the
-// lab façade); the emitters here produce standard JSON with a few dozen
-// lines of local code instead.
+// Every export is built as io::Json and dumped by the one JSON writer
+// (ranycast::json, a leaf library below obs): object keys come out sorted,
+// integers exact, doubles with the report JSON's digits.
 #pragma once
 
 #include <string>

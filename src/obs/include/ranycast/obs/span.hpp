@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "ranycast/core/record.hpp"
 #include "ranycast/obs/metrics.hpp"
 
 namespace ranycast::obs {
@@ -39,6 +40,17 @@ struct TraceEvent {
   std::uint64_t seq;       ///< process-wide completion sequence number
   std::uint64_t tid;       ///< OS thread id of the recording thread
 };
+
+template <class V, core::RecordOf<TraceEvent> T>
+void fields(V& v, T& e) {
+  v("name", e.name);
+  v("parent", e.parent);
+  v("depth", e.depth);
+  v("start_ns", e.start_ns);
+  v("dur_ns", e.dur_ns);
+  v("seq", e.seq);
+  v("tid", e.tid);
+}
 
 /// The innermost open span of the current thread (name nullptr when none),
 /// including the inherited base depth. Passed across threads by the exec
@@ -116,5 +128,13 @@ struct SpanAggregate {
   double max_us{0.0};
 };
 std::map<std::string, SpanAggregate> span_aggregates();
+
+template <class V, core::RecordOf<SpanAggregate> T>
+void fields(V& v, T& a) {
+  v("count", a.count);
+  v("total_us", a.total_us);
+  v("min_us", a.min_us);
+  v("max_us", a.max_us);
+}
 
 }  // namespace ranycast::obs

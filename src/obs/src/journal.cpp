@@ -1,7 +1,6 @@
 #include "ranycast/obs/journal.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -12,117 +11,9 @@ namespace ranycast::obs {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_field(std::string& out, const JournalField& f) {
-  append_escaped(out, f.key);
-  out += ':';
-  switch (f.kind) {
-    case JournalField::Kind::String:
-      append_escaped(out, f.text);
-      break;
-    case JournalField::Kind::U64: {
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(f.u64));
-      out += buf;
-      break;
-    }
-    case JournalField::Kind::I64: {
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(f.i64));
-      out += buf;
-      break;
-    }
-    case JournalField::Kind::F64: {
-      if (!std::isfinite(f.f64)) {
-        out += '0';
-        break;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.10g", f.f64);
-      out += buf;
-      break;
-    }
-    case JournalField::Kind::Bool:
-      out += f.boolean ? "true" : "false";
-      break;
-    case JournalField::Kind::RawJson:
-      out += f.text.empty() ? "null" : f.text;
-      break;
-  }
-}
-
 std::atomic<Journal*> g_journal{nullptr};
 
 }  // namespace
-
-JournalField JournalField::str(std::string key, std::string_view value) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::String;
-  f.text = std::string(value);
-  return f;
-}
-
-JournalField JournalField::u64_field(std::string key, std::uint64_t value) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::U64;
-  f.u64 = value;
-  return f;
-}
-
-JournalField JournalField::i64_field(std::string key, std::int64_t value) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::I64;
-  f.i64 = value;
-  return f;
-}
-
-JournalField JournalField::f64_field(std::string key, double value) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::F64;
-  f.f64 = value;
-  return f;
-}
-
-JournalField JournalField::bool_field(std::string key, bool value) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::Bool;
-  f.boolean = value;
-  return f;
-}
-
-JournalField JournalField::raw(std::string key, std::string json) {
-  JournalField f;
-  f.key = std::move(key);
-  f.kind = Kind::RawJson;
-  f.text = std::move(json);
-  return f;
-}
 
 Journal::~Journal() { close(); }
 
@@ -167,21 +58,17 @@ void Journal::close() {
   }
 }
 
-bool Journal::event(std::string_view type, const std::vector<JournalField>& fields,
-                    bool durable) {
+bool Journal::event(std::string_view type, const EventFields& fields, bool durable) {
   if (!file_.is_open()) return false;
-  std::string line = "{\"type\":";
-  append_escaped(line, type);
-  line += ",\"ts_ns\":";
-  {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(trace_now_ns()));
-    line += buf;
-  }
-  for (const JournalField& f : fields) {
+  // Top-level keys keep their order (type, ts_ns, fields, crc), so the line
+  // is composed here from dumped keys and values rather than as one object.
+  std::string line = "{\"type\":" + io::Json(std::string(type)).dump() +
+                     ",\"ts_ns\":" + io::Json(trace_now_ns()).dump();
+  for (const auto& [key, value] : fields) {
     line += ',';
-    append_field(line, f);
+    line += io::Json(key).dump();
+    line += ':';
+    line += value.dump();
   }
   // Self-checking tail: CRC-32 over everything composed so far, emitted as
   // the line's final field. Readers recompute it to detect mid-file rot.
@@ -220,8 +107,7 @@ void set_journal(Journal* journal) noexcept {
 
 Journal* journal() noexcept { return g_journal.load(std::memory_order_acquire); }
 
-bool journal_event(std::string_view type, const std::vector<JournalField>& fields,
-                   bool durable) {
+bool journal_event(std::string_view type, const EventFields& fields, bool durable) {
   Journal* j = journal();
   if (j == nullptr) return true;
   return j->event(type, fields, durable);

@@ -1,11 +1,10 @@
 #include "ranycast/obs/report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
+#include "ranycast/io/json.hpp"
 #include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/span.hpp"
 #include "ranycast/vfs/vfs.hpp"
@@ -13,72 +12,6 @@
 namespace ranycast::obs {
 
 namespace {
-
-// --- tiny JSON emitter (obs sits below ranycast::io, see header) ----------
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += '0';  // keep the document strictly valid JSON
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  out += buf;
-}
-
-void append_number(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-/// Appends `"key":` (with a leading comma unless first).
-void append_key(std::string& out, std::string_view key, bool& first) {
-  if (!first) out += ',';
-  first = false;
-  append_escaped(out, key);
-  out += ':';
-}
-
-void append_histogram(std::string& out, const Histogram::Snapshot& s) {
-  out += "{\"count\":";
-  append_number(out, s.count);
-  out += ",\"sum\":";
-  append_number(out, s.sum);
-  out += ",\"min\":";
-  append_number(out, s.min);
-  out += ",\"max\":";
-  append_number(out, s.max);
-  out += ",\"p50\":";
-  append_number(out, s.p50);
-  out += ",\"p90\":";
-  append_number(out, s.p90);
-  out += ",\"p99\":";
-  append_number(out, s.p99);
-  out += '}';
-}
 
 using CounterMap = std::map<std::string, std::uint64_t>;
 using HistogramMap = std::map<std::string, Histogram::Snapshot>;
@@ -88,84 +21,39 @@ std::uint64_t counter_or_zero(const CounterMap& counters, const std::string& nam
   return it == counters.end() ? 0 : it->second;
 }
 
-Histogram::Snapshot histogram_or_empty(const HistogramMap& histograms,
-                                       const std::string& name) {
+io::Json histogram_or_empty(const HistogramMap& histograms, const std::string& name) {
   const auto it = histograms.find(name);
-  return it == histograms.end() ? Histogram::Snapshot{} : it->second;
+  return io::to_json(it == histograms.end() ? Histogram::Snapshot{} : it->second);
 }
 
-}  // namespace
+/// A name -> value map as a JSON object.
+template <class Map>
+io::Json object_of(const Map& map) {
+  io::JsonObject out;
+  for (const auto& [name, value] : map) out.emplace(name, io::to_json(value));
+  return io::Json(std::move(out));
+}
 
-std::string json_report() {
+io::Json report_json() {
   const auto& registry = MetricsRegistry::global();
-  std::string out = "{\"labels\":{";
-  bool first = true;
-  for (const auto& [name, value] : registry.labels()) {
-    append_key(out, name, first);
-    append_escaped(out, value);
-  }
-  out += "},\"counters\":{";
-  first = true;
-  for (const auto& [name, value] : registry.counters()) {
-    append_key(out, name, first);
-    append_number(out, value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : registry.gauges()) {
-    append_key(out, name, first);
-    append_number(out, value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, snapshot] : registry.histograms()) {
-    append_key(out, name, first);
-    append_histogram(out, snapshot);
-  }
-  out += "},\"spans\":{";
-  first = true;
-  for (const auto& [name, agg] : span_aggregates()) {
-    append_key(out, name, first);
-    out += "{\"count\":";
-    append_number(out, agg.count);
-    out += ",\"total_us\":";
-    append_number(out, agg.total_us);
-    out += ",\"min_us\":";
-    append_number(out, agg.min_us);
-    out += ",\"max_us\":";
-    append_number(out, agg.max_us);
-    out += '}';
-  }
-  out += "}}";
-  return out;
-}
-
-namespace {
-
-void append_event(std::string& out, const TraceEvent& e) {
-  out += "{\"name\":";
-  append_escaped(out, e.name);
-  out += ",\"parent\":";
-  append_escaped(out, e.parent);
-  out += ",\"depth\":";
-  append_number(out, static_cast<std::uint64_t>(e.depth));
-  out += ",\"start_ns\":";
-  append_number(out, e.start_ns);
-  out += ",\"dur_ns\":";
-  append_number(out, e.dur_ns);
-  out += ",\"seq\":";
-  append_number(out, e.seq);
-  out += ",\"tid\":";
-  append_number(out, e.tid);
+  return io::Json(io::JsonObject{
+      {"labels", object_of(registry.labels())},
+      {"counters", object_of(registry.counters())},
+      {"gauges", object_of(registry.gauges())},
+      {"histograms", object_of(registry.histograms())},
+      {"spans", object_of(span_aggregates())},
+  });
 }
 
 }  // namespace
+
+std::string json_report() { return report_json().dump(); }
 
 std::string trace_ndjson() {
   std::string out;
   for (const TraceEvent& e : trace_events()) {
-    append_event(out, e);
-    out += "}\n";
+    out += io::to_json(e).dump();
+    out += '\n';
   }
   return out;
 }
@@ -174,10 +62,10 @@ std::string flight_ndjson() {
   std::string out;
   for (const FlightThreadSnapshot& t : flight_snapshot()) {
     for (const TraceEvent& e : t.events) {
-      append_event(out, e);
-      out += ",\"thread\":";
-      append_escaped(out, t.name);
-      out += "}\n";
+      io::Json line = io::to_json(e);
+      line.as_object().emplace("thread", t.name);
+      out += line.dump();
+      out += '\n';
     }
   }
   return out;
@@ -197,62 +85,48 @@ bool write_bench_report(std::string_view bench_name, double wall_ms) {
 
   // Fixed schema: every known key is present (zeroed when the bench never
   // exercised that subsystem) so trajectory tooling can diff runs blindly.
-  std::string out = "{\"schema\":\"ranycast-bench-telemetry/1\",\"bench\":";
-  append_escaped(out, bench_name);
-  out += ",\"preset\":";
-  const auto preset = labels.find("bench.preset");
-  append_escaped(out, preset == labels.end() ? "none" : preset->second);
-  out += ",\"wall_ms\":";
-  append_number(out, wall_ms);
-
-  out += ",\"solver\":{\"calls\":";
-  append_number(out, counter_or_zero(counters, "bgp.solve.calls"));
-  out += ",\"nodes\":";
-  append_number(out, counter_or_zero(counters, "bgp.solve.nodes"));
-  for (const auto* stage : {"stage_customer_us", "stage_peer_us", "stage_provider_us",
+  const auto counter = [&counters](const std::string& name) {
+    return io::Json(counter_or_zero(counters, name));
+  };
+  io::JsonObject solver{
+      {"calls", counter("bgp.solve.calls")},
+      {"nodes", counter("bgp.solve.nodes")},
+      {"tiebreaks", io::Json(io::JsonObject{
+                        {"hot_potato", counter("bgp.solve.select.hot_potato")},
+                        {"hash", counter("bgp.solve.select.tiebreak_hash")},
+                    })},
+  };
+  for (const char* stage : {"stage_customer_us", "stage_peer_us", "stage_provider_us",
                             "total_us"}) {
-    out += ",\"";
-    out += stage;
-    out += "\":";
-    append_histogram(out, histogram_or_empty(histograms, std::string("bgp.solve.") + stage));
+    solver.emplace(stage, histogram_or_empty(histograms, std::string("bgp.solve.") + stage));
   }
-  out += ",\"tiebreaks\":{\"hot_potato\":";
-  append_number(out, counter_or_zero(counters, "bgp.solve.select.hot_potato"));
-  out += ",\"hash\":";
-  append_number(out, counter_or_zero(counters, "bgp.solve.select.tiebreak_hash"));
-  out += "}}";
-
-  out += ",\"lab\":{\"create_calls\":";
-  append_number(out, counter_or_zero(counters, "lab.create.calls"));
-  for (const auto* phase : {"topology_us", "census_us", "geodb_us", "total_us"}) {
-    out += ",\"";
-    out += phase;
-    out += "\":";
-    append_histogram(out, histogram_or_empty(histograms, std::string("lab.create.") + phase));
+  io::JsonObject lab{
+      {"create_calls", counter("lab.create.calls")},
+      {"deployments", counter("lab.deployments")},
+      {"regions_solved", counter("lab.regions_solved")},
+  };
+  for (const char* phase : {"topology_us", "census_us", "geodb_us", "total_us"}) {
+    lab.emplace(phase, histogram_or_empty(histograms, std::string("lab.create.") + phase));
   }
-  out += ",\"deployments\":";
-  append_number(out, counter_or_zero(counters, "lab.deployments"));
-  out += ",\"regions_solved\":";
-  append_number(out, counter_or_zero(counters, "lab.regions_solved"));
-  out += '}';
-
-  out += ",\"measurement\":{\"dns_lookup_calls\":";
-  append_number(out, counter_or_zero(counters, "lab.dns_lookup.calls"));
-  out += ",\"ping_calls\":";
-  append_number(out, counter_or_zero(counters, "lab.ping.calls"));
-  out += ",\"ping_unreachable\":";
-  append_number(out, counter_or_zero(counters, "lab.ping.unreachable"));
-  out += ",\"traceroute_calls\":";
-  append_number(out, counter_or_zero(counters, "lab.traceroute.calls"));
-  out += ",\"geodb_lookups\":";
-  append_number(out, counter_or_zero(counters, "dns.geodb.lookups"));
-  out += ",\"ping_rtt_ms\":";
-  append_histogram(out, histogram_or_empty(histograms, "lab.ping.rtt_ms"));
-  out += '}';
-
-  out += ",\"metrics\":";
-  out += json_report();
-  out += "}\n";
+  const auto preset = labels.find("bench.preset");
+  const io::Json report(io::JsonObject{
+      {"schema", "ranycast-bench-telemetry/1"},
+      {"bench", std::string(bench_name)},
+      {"preset", preset == labels.end() ? std::string("none") : preset->second},
+      {"wall_ms", wall_ms},
+      {"solver", io::Json(std::move(solver))},
+      {"lab", io::Json(std::move(lab))},
+      {"measurement", io::Json(io::JsonObject{
+                          {"dns_lookup_calls", counter("lab.dns_lookup.calls")},
+                          {"ping_calls", counter("lab.ping.calls")},
+                          {"ping_unreachable", counter("lab.ping.unreachable")},
+                          {"traceroute_calls", counter("lab.traceroute.calls")},
+                          {"geodb_lookups", counter("dns.geodb.lookups")},
+                          {"ping_rtt_ms", histogram_or_empty(histograms, "lab.ping.rtt_ms")},
+                      })},
+      {"metrics", report_json()},
+  });
+  const std::string out = report.dump() + "\n";
 
   // Telemetry routes to RANYCAST_OBS_DIR when set (created if missing), so
   // CI and bench runs can collect reports without cd'ing around.

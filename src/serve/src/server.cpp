@@ -151,14 +151,13 @@ LadderHealth Server::health_at(std::uint64_t now_ns) const {
 }
 
 void Server::journal_transition(const LadderTransition& t) const {
-  using F = obs::JournalField;
   // Durable: the ladder history is part of the crash story — a restart must
   // be able to reconstruct every rung the dead process admitted to.
   obs::journal_event("serve_ladder",
-                     {F::u64_field("at_ns", t.at_ns),
-                      F::str("from", std::string(to_string(t.from))),
-                      F::str("to", std::string(to_string(t.to))),
-                      F::str("reason", t.reason)},
+                     {{"at_ns", t.at_ns},
+                      {"from", std::string(to_string(t.from))},
+                      {"to", std::string(to_string(t.to))},
+                      {"reason", t.reason}},
                      /*durable=*/true);
 }
 
@@ -198,7 +197,6 @@ std::string Server::start_build(std::uint64_t t_ns) {
 }
 
 void Server::finish_build() {
-  using F = obs::JournalField;
   const std::uint64_t done_ns = build_done_at_ns_;
   building_ = false;
   if (build_will_fail_ || pending_ == nullptr) {
@@ -206,8 +204,7 @@ void Server::finish_build() {
     ++stats_.builds_failed;
     pending_.reset();
     obs::journal_event("serve_build",
-                       {F::u64_field("at_ns", done_ns), F::bool_field("ok", false),
-                        F::u64_field("failures", consecutive_failures_)},
+                       {{"at_ns", done_ns}, {"ok", false}, {"failures", consecutive_failures_}},
                        /*durable=*/true);
     advance_ladder(done_ns, "refresh_failure");
     return;
@@ -225,9 +222,10 @@ void Server::finish_build() {
   consecutive_failures_ = 0;
   ++stats_.epochs_published;
   obs::journal_event("serve_epoch",
-                     {F::u64_field("epoch", epoch), F::u64_field("at_ns", done_ns),
-                      F::u64_field("fingerprint", snapshot_fp),
-                      F::u64_field("world_events", world_events_applied_)},
+                     {{"epoch", epoch},
+                      {"at_ns", done_ns},
+                      {"fingerprint", snapshot_fp},
+                      {"world_events", world_events_applied_}},
                      /*durable=*/true);
   advance_ladder(done_ns, "published");
 }

@@ -170,8 +170,8 @@ io::Json config_to_json(const TrafficConfig& cfg) {
       {"policy", io::Json(std::string(to_string(cfg.policy)))},
       {"admission_threshold", io::Json(cfg.admission_threshold)},
       {"max_rho", io::Json(cfg.max_rho)},
-      {"max_shed_waves", io::Json(static_cast<std::int64_t>(cfg.max_shed_waves))},
-      {"seed", io::Json(static_cast<std::int64_t>(cfg.seed))},
+      {"max_shed_waves", io::Json(cfg.max_shed_waves)},
+      {"seed", io::Json(cfg.seed)},
       {"flow_sizes", io::Json(io::JsonObject{{"bytes", io::to_json(cfg.flow_sizes.bytes)},
                                              {"prob", io::to_json(cfg.flow_sizes.prob)}})},
   });

@@ -6,7 +6,6 @@
 // the uninterrupted baseline — including after the newest generation is
 // corrupted behind the runtime's back.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -21,6 +20,7 @@
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/guard/chain.hpp"
 #include "ranycast/vfs/fault.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::chaos {
 namespace {
@@ -61,10 +61,8 @@ FaultPlan soak_plan() {
 }
 
 std::string chain_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   (std::string(kScratchTag) + "." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / (tag + ".ck")).string();
+  static const test_support::ScratchDir dir(kScratchTag);
+  return dir.file(tag + ".ck");
 }
 
 void remove_chain_files(const std::string& ck) {

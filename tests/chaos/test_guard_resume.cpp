@@ -17,6 +17,7 @@
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/guard/chain.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::chaos {
 namespace {
@@ -77,9 +78,8 @@ FaultPlan cascade_plan() {
 }
 
 std::string checkpoint_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() / "ranycast_chaos_resume";
-  fs::create_directories(dir);
-  return (dir / (tag + ".ck")).string();
+  static const test_support::ScratchDir dir("ranycast_chaos_resume");
+  return dir.file(tag + ".ck");
 }
 
 /// Remove the whole lineage — manifest, generation files, quarantined

@@ -17,6 +17,7 @@
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/io/json.hpp"
 #include "ranycast/obs/journal.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::chaos {
 namespace {
@@ -58,9 +59,8 @@ FaultPlan cascade_plan() {
 }
 
 std::string work_path(const std::string& tag, const std::string& ext) {
-  const auto dir = fs::temp_directory_path() / "ranycast_journal_resume";
-  fs::create_directories(dir);
-  return (dir / (tag + ext)).string();
+  static const test_support::ScratchDir dir("ranycast_journal_resume");
+  return dir.file(tag + ext);
 }
 
 /// Uninstalls the global journal even when an assertion bails out early.
@@ -111,9 +111,8 @@ void expect_line_matches_step(const io::Json& line, const StepReport& step) {
                    static_cast<double>(step.still_served));
   EXPECT_DOUBLE_EQ(line.find("routes_after")->as_number(),
                    static_cast<double>(step.routes_after));
-  // Doubles go through "%.10g" on the way out.
-  EXPECT_NEAR(line.find("after_p50_ms")->as_number(), step.after_p50_ms,
-              1e-8 * std::max(1.0, std::abs(step.after_p50_ms)));
+  // Doubles print with 17 significant digits and parse back exactly.
+  EXPECT_EQ(line.find("after_p50_ms")->as_number(), step.after_p50_ms);
   EXPECT_TRUE(line.find("dur_ns")->is_number());
 }
 
@@ -148,6 +147,39 @@ TEST(JournalResume, UninterruptedRunJournalsEveryStepExactly) {
     expect_line_matches_step(it->second, step);
   }
   fs::remove(jpath);
+}
+
+TEST(JournalResume, StepDoublesEqualTheReportJsonBitForBit) {
+  const std::string jpath = work_path("doubles", ".ndjson");
+  auto laboratory = lab::Lab::create(tiny_config());
+  const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
+  Engine engine(laboratory, im6);
+  obs::Journal journal;
+  ASSERT_TRUE(journal.open(jpath, /*append=*/false)) << journal.error();
+  ChaosReport report;
+  {
+    JournalScope scope(journal);
+    auto outcome = engine.run(cascade_plan());
+    ASSERT_TRUE(outcome.has_value()) << outcome.error();
+    report = *outcome;
+  }
+  journal.close();
+
+  const auto steps = journal_steps(parse_journal_lines(jpath));
+  const io::Json json = report_to_json(report);
+  std::size_t fractional = 0;
+  for (const io::Json& expected : json.find("steps")->as_array()) {
+    const auto index = static_cast<std::uint64_t>(expected.find("index")->as_number());
+    ASSERT_EQ(steps.count(index), 1u) << "step " << index;
+    const io::Json& line = steps.at(index);
+    for (const auto& [key, value] : expected.as_object()) {
+      const io::Json* got = line.find(key);
+      if (got == nullptr || !value.is_number()) continue;  // churn, survival_rate
+      EXPECT_EQ(got->as_number(), value.as_number()) << "step " << index << " " << key;
+      if (value.as_number() != std::floor(value.as_number())) ++fractional;
+    }
+  }
+  EXPECT_GT(fractional, 0u);  // the plan's latencies are not round numbers
 }
 
 TEST(JournalResume, AbortedThenResumedJournalCarriesOneResumeMarker) {

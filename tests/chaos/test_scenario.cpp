@@ -141,5 +141,16 @@ TEST(Scenario, ReportSerializesEveryStepField) {
   EXPECT_EQ(reparsed.find("steps")->as_array().size(), 1u);
 }
 
+TEST(Scenario, ReportKeepsItsSeedForm) {
+  // Report bytes are stable: the seed still prints through a double, so one
+  // at or above 2^53 rounds, while the other integers print exactly.
+  ChaosReport report;
+  report.seed = (std::uint64_t{1} << 53) + 1;
+  report.planned_steps = (std::size_t{1} << 53) + 1;
+  const std::string text = report_to_json(report).dump();
+  EXPECT_NE(text.find("\"seed\":9007199254740992"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"planned_steps\":9007199254740993"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace ranycast::chaos

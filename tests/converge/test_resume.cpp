@@ -16,6 +16,7 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/exec/pool.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::converge {
 namespace {
@@ -76,12 +77,6 @@ chaos::FaultPlan failover_plan() {
   return plan;
 }
 
-std::string checkpoint_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() / "ranycast_converge_resume";
-  fs::create_directories(dir);
-  return (dir / (tag + ".ck")).string();
-}
-
 std::string baseline_json() {
   auto laboratory = lab::Lab::create(tiny_config());
   const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -97,8 +92,8 @@ std::string baseline_json() {
 }
 
 std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) {
-  const std::string ck = checkpoint_path(tag);
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_converge_resume." + tag);
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -116,6 +111,9 @@ std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) 
     EXPECT_TRUE(first->report.truncated);
     EXPECT_EQ(first->report.steps.size(), abort_at);
     EXPECT_EQ(first->report.transient.size(), abort_at);
+    // One generation per step from generation 1: nothing stale was adopted.
+    EXPECT_TRUE(fs::exists(ck + ".g" + std::to_string(abort_at)));
+    EXPECT_FALSE(fs::exists(ck + ".g" + std::to_string(abort_at + 1)));
   }
   auto laboratory = lab::Lab::create(tiny_config());
   const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -131,7 +129,6 @@ std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) 
   EXPECT_TRUE(second->sweep.resumed);
   EXPECT_EQ(second->sweep.resumed_from, abort_at);
   EXPECT_FALSE(second->report.truncated);
-  fs::remove(ck);
   return chaos::report_to_json(second->report).dump(2);
 }
 
@@ -169,8 +166,8 @@ TEST(ConvergeResume, TransientReportByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ConvergeResume, SteadyCheckpointDoesNotResumeIntoTransientRun) {
-  const std::string ck = checkpoint_path("steady_to_transient");
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_converge_resume.steady_to_transient");
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -194,12 +191,11 @@ TEST(ConvergeResume, SteadyCheckpointDoesNotResumeIntoTransientRun) {
   auto outcome = engine.run_guarded(failover_plan(), supervisor, policy);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
-  fs::remove(ck);
 }
 
 TEST(ConvergeResume, DifferentTimerConfigDoesNotResume) {
-  const std::string ck = checkpoint_path("other_timers");
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_converge_resume.other_timers");
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -226,7 +222,6 @@ TEST(ConvergeResume, DifferentTimerConfigDoesNotResume) {
   auto outcome = engine.run_guarded(failover_plan(), supervisor, policy);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
-  fs::remove(ck);
 }
 
 TEST(ConvergeResume, OscillatingHistoryFailsWithoutQuarantine) {

@@ -2,9 +2,8 @@
 // CRC-32 tag, and the flight reader must (a) count each mid-file corruption
 // exactly, (b) skip damaged lines instead of aborting, (c) treat a single
 // cut FINAL line as the benign signature of a kill — not as damage — and
-// (d) keep accepting legacy journals written before the tag existed.
+// (d) count a parseable line without the tag as corrupt.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -13,18 +12,16 @@
 
 #include "ranycast/flight/flight.hpp"
 #include "ranycast/obs/journal.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::flight {
 namespace {
 
 namespace fs = std::filesystem;
-using F = obs::JournalField;
 
 std::string scratch(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   ("ranycast_flight_corruption." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / (tag + ".ndjson")).string();
+  static const test_support::ScratchDir dir("ranycast_flight_corruption");
+  return dir.file(tag + ".ndjson");
 }
 
 /// Write `n` tagged journal lines the production way.
@@ -32,7 +29,7 @@ void write_journal(const std::string& path, std::size_t n) {
   obs::Journal journal;
   ASSERT_TRUE(journal.open(path, /*append=*/false)) << journal.error();
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(journal.event("chaos_step", {F::u64_field("index", i)}));
+    ASSERT_TRUE(journal.event("chaos_step", {{"index", i}}));
   }
   journal.close();
 }
@@ -174,20 +171,22 @@ TEST(JournalCorruption, KillCutPlusMidFileDamageIsStillDamage) {
   EXPECT_TRUE(journal->damaged());  // the tail is excused, the rot is not
 }
 
-TEST(JournalCorruption, LegacyUntaggedLinesAreAccepted) {
-  const std::string path = scratch("legacy");
+TEST(JournalCorruption, UntaggedLinesAreCorrupt) {
+  const std::string path = scratch("untagged");
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << "{\"type\":\"run_manifest\",\"ts_ns\":1,\"tool\":\"old\"}\n";
   out << "{\"type\":\"chaos_step\",\"ts_ns\":2,\"index\":0}\n";
   out << "{\"type\":\"stopped\",\"ts_ns\":3,\"reason\":\"none\"}\n";
+  out << "{\"type\":\"chaos_step\",\"ts_ns\":4,\"ind";  // kill-cut
   out.close();
 
   auto journal = load_journal(path);
   ASSERT_TRUE(journal.has_value()) << journal.error();
-  EXPECT_EQ(journal->events.size(), 3u);
-  EXPECT_EQ(journal->corrupt_lines, 0u);
-  EXPECT_EQ(journal->malformed_lines, 0u);
-  EXPECT_FALSE(journal->damaged());
+  EXPECT_TRUE(journal->events.empty());
+  EXPECT_EQ(journal->corrupt_lines, 3u);
+  EXPECT_EQ(journal->malformed_lines, 1u);
+  EXPECT_TRUE(journal->truncated_tail);  // a cut final line is still just a tail
+  EXPECT_TRUE(journal->damaged());
 }
 
 TEST(JournalCorruption, SummarizeReportsCorruptionCounts) {

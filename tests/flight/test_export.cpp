@@ -5,7 +5,6 @@
 #include "ranycast/flight/flight.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -13,24 +12,23 @@
 #include <string>
 #include <utility>
 
+#include "ranycast/core/crc32.hpp"
 #include "ranycast/io/json.hpp"
 #include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/span.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::flight {
 namespace {
 
 namespace fs = std::filesystem;
-using F = obs::JournalField;
 
 std::string temp_path(const std::string& tag) {
   // ctest registers each case individually, so cases from this binary can run
   // as concurrent processes — keep their scratch files apart by pid.
-  const auto dir = fs::temp_directory_path() /
-                   ("ranycast_flight_test." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / tag).string();
+  static const test_support::ScratchDir dir("ranycast_flight_test");
+  return dir.file(tag);
 }
 
 /// A journal shaped like a killed-and-resumed chaos run: manifest, phases,
@@ -42,36 +40,32 @@ std::string write_sample_journal() {
   {
     obs::Journal journal;
     EXPECT_TRUE(journal.open(path, /*append=*/false));
-    journal.event("run_manifest", {F::str("tool", "test"), F::u64_field("planned_steps", 3)});
-    journal.event("phase_begin", {F::str("phase", "chaos.run")});
+    journal.event("run_manifest", {{"tool", "test"}, {"planned_steps", 3}});
+    journal.event("phase_begin", {{"phase", "chaos.run"}});
     journal.event("chaos_step",
-                  {F::u64_field("index", 0), F::str("kind", "site_withdraw"),
-                   F::u64_field("dur_ns", 1'000'000)});
+                  {{"index", 0}, {"kind", "site_withdraw"}, {"dur_ns", 1'000'000}});
     journal.event("chaos_step",
-                  {F::u64_field("index", 1), F::str("kind", "geo_db_stale"),
-                   F::u64_field("dur_ns", 2'000'000)});
+                  {{"index", 1}, {"kind", "geo_db_stale"}, {"dur_ns", 2'000'000}});
     // Step 2 completed but the process died before the checkpoint: after
     // resume the same index is journaled again — consumers keep the last.
     journal.event("chaos_step",
-                  {F::u64_field("index", 2), F::str("kind", "region_withdraw"),
-                   F::u64_field("dur_ns", 3'000'000)});
+                  {{"index", 2}, {"kind", "region_withdraw"}, {"dur_ns", 3'000'000}});
   }
   {
     obs::Journal journal;
     EXPECT_TRUE(journal.open(path, /*append=*/true));
-    journal.event("resumed", {F::u64_field("cursor", 2), F::u64_field("total", 3)}, true);
+    journal.event("resumed", {{"cursor", 2}, {"total", 3}}, true);
     journal.event("chaos_step",
-                  {F::u64_field("index", 2), F::str("kind", "region_withdraw"),
-                   F::u64_field("dur_ns", 2'500'000)});
+                  {{"index", 2}, {"kind", "region_withdraw"}, {"dur_ns", 2'500'000}});
     journal.event(
         "transient_window",
-        {F::u64_field("index", 2), F::u64_field("probes", 100),
-         F::raw("regions",
-                "[{\"region\":0,\"converged_us\":120,\"max_blackhole_us\":80,"
-                "\"blackholed\":4},"
-                "{\"region\":1,\"converged_us\":60,\"max_blackhole_us\":0,"
-                "\"blackholed\":0}]")});
-    journal.event("stopped", {F::str("reason", "none"), F::u64_field("completed", 3)}, true);
+        {{"index", 2},
+         {"probes", 100},
+         {"regions",
+          io::parse_json_or_throw(
+              R"([{"region":0,"converged_us":120,"max_blackhole_us":80,"blackholed":4},)"
+              R"( {"region":1,"converged_us":60,"max_blackhole_us":0,"blackholed":0}])")}});
+    journal.event("stopped", {{"reason", "none"}, {"completed", 3}}, true);
   }
   // SIGKILL mid-write: an O_APPEND line can be cut, never interleaved.
   std::ofstream cut(path, std::ios::binary | std::ios::app);
@@ -93,6 +87,20 @@ TEST(JournalReader, KilledJournalLoadsUpToTheCutLine) {
   for (std::size_t i = 1; i < loaded->events.size(); ++i) {
     EXPECT_GE(loaded->events[i].ts_ns, loaded->events[i - 1].ts_ns) << i;
   }
+}
+
+TEST(JournalReader, RenderedEventKeepsLargeIntegersExact) {
+  // A serve_epoch line: snapshot fingerprints use all 64 bits.
+  std::string line =
+      R"({"type":"serve_epoch","ts_ns":5,"epoch":3,"fingerprint":8694433198636178480)";
+  char tag[obs::kJournalCrcTagSize + 1];
+  std::snprintf(tag, sizeof tag, ",\"crc\":\"%08x\"}", core::crc32(line.data(), line.size()));
+  line += tag;
+  JournalEvent event;
+  ASSERT_EQ(parse_journal_line(line, event), LineStatus::Event);
+  const std::string rendered = render_event(event);
+  EXPECT_NE(rendered.find("\"fingerprint\":8694433198636178480"), std::string::npos)
+      << rendered;
 }
 
 TEST(JournalReader, MissingFileIsAnError) {

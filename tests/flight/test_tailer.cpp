@@ -6,7 +6,6 @@
 // load_journal() of the same file, including under a vfs fault storm with
 // writers on several threads (the concurrent reader-vs-writer soak).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -19,20 +18,18 @@
 #include "ranycast/flight/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/vfs/fault.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::flight {
 namespace {
 
 namespace fs = std::filesystem;
-using F = obs::JournalField;
 
 constexpr const char* kScratchTag = "ranycast_flight_tailer";
 
 std::string scratch(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   (std::string(kScratchTag) + "." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / (tag + ".ndjson")).string();
+  static const test_support::ScratchDir dir(kScratchTag);
+  return dir.file(tag + ".ndjson");
 }
 
 void append_raw(const std::string& path, const std::string& bytes) {
@@ -58,7 +55,7 @@ TEST(JournalTailer, DeliversCommittedLinesIncrementallyAndExactlyOnce) {
 
   std::size_t delivered = 0;
   for (std::size_t i = 0; i < 20; ++i) {
-    ASSERT_TRUE(journal.event("tail_probe", {F::u64_field("seq", i)}));
+    ASSERT_TRUE(journal.event("tail_probe", {{"seq", i}}));
     if (i % 3 != 2) continue;  // poll only sometimes: batches accumulate
     const auto poll = tailer.poll();
     ASSERT_TRUE(poll.has_value());
@@ -82,7 +79,7 @@ TEST(JournalTailer, PartialTailIsRetriedNotConsumed) {
   fs::remove(path);
   obs::Journal journal;
   ASSERT_TRUE(journal.open(path, /*append=*/false)) << journal.error();
-  ASSERT_TRUE(journal.event("tail_probe", {F::u64_field("seq", 0)}));
+  ASSERT_TRUE(journal.event("tail_probe", {{"seq", 0}}));
   journal.close();
 
   std::ifstream in(path);
@@ -121,7 +118,7 @@ TEST(JournalTailer, RotationResetsToTheStartOfTheNewFile) {
     obs::Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));
     for (std::size_t i = 0; i < 5; ++i) {
-      ASSERT_TRUE(journal.event("tail_probe", {F::u64_field("seq", i)}));
+      ASSERT_TRUE(journal.event("tail_probe", {{"seq", i}}));
     }
   }
   JournalTailer tailer(path);
@@ -131,7 +128,7 @@ TEST(JournalTailer, RotationResetsToTheStartOfTheNewFile) {
   {
     obs::Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));
-    ASSERT_TRUE(journal.event("tail_probe", {F::u64_field("seq", 100)}));
+    ASSERT_TRUE(journal.event("tail_probe", {{"seq", 100}}));
   }
   const auto poll = tailer.poll();
   ASSERT_TRUE(poll.has_value());
@@ -147,7 +144,7 @@ TEST(JournalTailer, CountsDamageExactlyLikeLoadJournal) {
     obs::Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));
     for (std::size_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(journal.event("tail_probe", {F::u64_field("seq", i)}));
+      ASSERT_TRUE(journal.event("tail_probe", {{"seq", i}}));
     }
   }
   // Flip a byte inside line 2's JSON body: its CRC tag can no longer match.
@@ -219,8 +216,7 @@ TEST(JournalTailerConcurrent, ReaderSeesEveryCommittedLineExactlyOnceUnderFaultS
           obs::Journal journal;  // one O_APPEND fd per writer: line-atomic
           if (journal.open(path, /*append=*/true)) {
             for (std::size_t i = 0; i < kLinesPerWriter; ++i) {
-              journal.event("tail_probe", {F::u64_field("writer", w),
-                                           F::u64_field("seq", i)},
+              journal.event("tail_probe", {{"writer", w}, {"seq", i}},
                             /*durable=*/(i % 16) == 0);
               if (i % 8 == 0) std::this_thread::yield();
             }

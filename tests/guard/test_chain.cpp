@@ -1,11 +1,10 @@
 // Checkpoint lineage: rotation and pruning, self-healing reads (quarantine
-// + fallback), manifest rebuild from a directory scan, legacy single-file
-// adoption, the fingerprint hard-stop, offline verification, and the
-// transient-I/O retry loop feeding it all.
+// + fallback), manifest rebuild from a directory scan, a bare checkpoint at
+// the policy path not being resumed from, the fingerprint hard-stop,
+// offline verification, and the transient-I/O retry loop feeding it all.
 #include "ranycast/guard/chain.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -15,6 +14,7 @@
 #include "ranycast/guard/checkpoint.hpp"
 #include "ranycast/guard/runtime.hpp"
 #include "ranycast/vfs/fault.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::guard {
 namespace {
@@ -25,8 +25,8 @@ constexpr std::uint64_t kFp = 0x5EED5EED5EED5EEDull;
 constexpr CheckpointKind kKind = CheckpointKind::MeasurementSweep;
 
 std::string chain_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   ("ranycast_chain_test." + std::to_string(::getpid())) / tag;
+  static const test_support::ScratchDir root("ranycast_chain_test");
+  const auto dir = root.path() / tag;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return (dir / "run.ck").string();
@@ -80,7 +80,6 @@ TEST(CheckpointChain, ReadReturnsNewestGeneration) {
   EXPECT_EQ(got->generation, 4u);
   EXPECT_EQ(got->fallbacks, 0u);
   EXPECT_EQ(got->quarantined, 0u);
-  EXPECT_FALSE(got->legacy);
   EXPECT_FALSE(got->manifest_rebuilt);
 }
 
@@ -187,26 +186,31 @@ TEST(CheckpointChain, OrphanIsAdoptedByScanWhenManifestIsLost) {
   EXPECT_TRUE(got->manifest_rebuilt);
 }
 
-TEST(CheckpointChain, LegacySingleFileIsAdoptedThenReplaced) {
-  const std::string ck = chain_path("legacy");
-  // A pre-lineage run left one bare checkpoint at the policy path.
+TEST(CheckpointChain, SingleFileCheckpointIsNotResumedFrom) {
+  const std::string ck = chain_path("single_file");
+  // A bare checkpoint envelope at the policy path is not a manifest: it is
+  // handled like an unreadable one, and no generation files back it.
   ASSERT_TRUE(write_checkpoint(ck, kKind, kFp, payload_of(7)).has_value());
-  ASSERT_TRUE(chain_exists(ck));
 
   CheckpointChain chain(ck, 3);
   auto got = chain.read(kKind, kFp);
-  ASSERT_TRUE(got.has_value()) << got.error().to_string();
-  EXPECT_TRUE(got->legacy);
-  EXPECT_EQ(got->generation, 0u);
-  EXPECT_EQ(got->payload, payload_of(7));
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error().kind, GuardErrorKind::Corrupt);
+  auto report = chain_verify(ck);
+  ASSERT_TRUE(report.has_value()) << report.error().to_string();
+  EXPECT_FALSE(report->ok());
+  EXPECT_EQ(report->problems.size(), 1u);
 
-  // The first chained write replaces the bare file with a manifest.
-  ASSERT_TRUE(chain.write(kKind, kFp, payload_of(8)).has_value());
+  // The chain starts at generation 1 and replaces the bare file.
+  auto gen = chain.write(kKind, kFp, payload_of(8));
+  ASSERT_TRUE(gen.has_value()) << gen.error().to_string();
+  EXPECT_EQ(*gen, 1u);
   CheckpointChain reader(ck, 3);
   auto after = reader.read(kKind, kFp);
   ASSERT_TRUE(after.has_value()) << after.error().to_string();
-  EXPECT_FALSE(after->legacy);
   EXPECT_EQ(after->payload, payload_of(8));
+  EXPECT_EQ(after->generation, 1u);
+  EXPECT_FALSE(after->manifest_rebuilt);
 }
 
 TEST(CheckpointChain, ForeignFingerprintIsNeverQuarantined) {

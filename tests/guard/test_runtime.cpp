@@ -12,6 +12,7 @@
 
 #include "ranycast/guard/runtime.hpp"
 #include "ranycast/guard/sweep.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::guard {
 namespace {
@@ -20,9 +21,8 @@ namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
 std::string temp_path(const std::string& name) {
-  const auto dir = fs::temp_directory_path() / "ranycast_guard_runtime";
-  fs::create_directories(dir);
-  return (dir / name).string();
+  static const test_support::ScratchDir dir("ranycast_guard_runtime");
+  return dir.file(name);
 }
 
 TEST(Supervisor, NoLimitsNeverStops) {

@@ -78,6 +78,23 @@ TEST(Json, DumpIntegersWithoutDecimalNoise) {
   EXPECT_EQ(Json(0.5).dump(), "0.5");
 }
 
+TEST(Json, IntegersRoundTripExactly) {
+  for (const char* text : {"18446744073709551615",  // 2^64 - 1
+                           "-9223372036854775808",  // -2^63
+                           "9007199254740993"}) {   // 2^53 + 1
+    EXPECT_EQ(parse(text).dump(), text);
+    EXPECT_TRUE(parse(text).is_number());
+  }
+  EXPECT_DOUBLE_EQ(parse("9007199254740993").as_number(), 9007199254740992.0);
+  // Unsigned values above INT64_MAX come back through int_or's wrap.
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                parse(R"({"seed":18446744073709551615})").int_or("seed", 0)),
+            18446744073709551615ull);
+  // Beyond uint64 and with a fraction or exponent, a literal is a double.
+  EXPECT_EQ(parse("18446744073709551616").dump(), "1.8446744073709552e+19");
+  EXPECT_EQ(parse("[1.5e3,2.0,-0.25]").dump(), "[1500,2,-0.25]");
+}
+
 TEST(Json, RoundTrip) {
   const std::string doc =
       R"({"a":[1,2.5,"x",null,true],"b":{"c":"nested \"quote\""},"d":-7})";

@@ -4,7 +4,6 @@
 #include "ranycast/obs/journal.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -13,20 +12,18 @@
 
 #include "ranycast/io/json.hpp"
 #include "ranycast/obs/span.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::obs {
 namespace {
 
 namespace fs = std::filesystem;
-using F = JournalField;
 
 std::string journal_path(const std::string& tag) {
   // ctest registers each case individually, so cases from this binary can run
   // as concurrent processes — keep their scratch files apart by pid.
-  const auto dir = fs::temp_directory_path() /
-                   ("ranycast_journal_test." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / (tag + ".ndjson")).string();
+  static const test_support::ScratchDir dir("ranycast_journal_test");
+  return dir.file(tag + ".ndjson");
 }
 
 std::vector<io::Json> read_lines(const std::string& path) {
@@ -46,11 +43,13 @@ TEST(Journal, EventLinesAreValidNdjsonWithTypedFields) {
   Journal journal;
   ASSERT_TRUE(journal.open(path, /*append=*/false)) << journal.error();
   EXPECT_TRUE(journal.event("run_manifest",
-                            {F::str("tool", "test \"quoted\"\n"), F::u64_field("steps", 7),
-                             F::i64_field("offset", -3), F::f64_field("ratio", 0.25),
-                             F::bool_field("resume", true),
-                             F::raw("regions", "[{\"region\":0}]")}));
-  EXPECT_TRUE(journal.event("stopped", {F::str("reason", "none")}, /*durable=*/true));
+                            {{"tool", "test \"quoted\"\n"},
+                             {"steps", 7},
+                             {"offset", -3},
+                             {"ratio", 0.25},
+                             {"resume", true},
+                             {"regions", io::parse_json_or_throw(R"([{"region":0}])")}}));
+  EXPECT_TRUE(journal.event("stopped", {{"reason", "none"}}, /*durable=*/true));
   EXPECT_EQ(journal.events_written(), 2u);
   journal.close();
 
@@ -85,12 +84,12 @@ TEST(Journal, FreshOpenTruncatesAndResumeOpenAppends) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));
-    EXPECT_TRUE(journal.event("phase_begin", {F::str("phase", "first")}));
+    EXPECT_TRUE(journal.event("phase_begin", {{"phase", "first"}}));
   }
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/true));
-    EXPECT_TRUE(journal.event("resumed", {F::u64_field("cursor", 3)}, /*durable=*/true));
+    EXPECT_TRUE(journal.event("resumed", {{"cursor", 3}}, /*durable=*/true));
   }
   auto lines = read_lines(path);
   ASSERT_EQ(lines.size(), 2u);
@@ -100,7 +99,7 @@ TEST(Journal, FreshOpenTruncatesAndResumeOpenAppends) {
   {
     Journal journal;
     ASSERT_TRUE(journal.open(path, /*append=*/false));  // fresh run: truncate
-    EXPECT_TRUE(journal.event("phase_begin", {F::str("phase", "second")}));
+    EXPECT_TRUE(journal.event("phase_begin", {{"phase", "second"}}));
   }
   lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);
@@ -111,7 +110,7 @@ TEST(Journal, FreshOpenTruncatesAndResumeOpenAppends) {
 TEST(Journal, GlobalInstallPointDegradesToNoOp) {
   ASSERT_EQ(journal(), nullptr);
   // No journal installed: not an error, nothing written anywhere.
-  EXPECT_TRUE(journal_event("chaos_step", {F::u64_field("index", 0)}));
+  EXPECT_TRUE(journal_event("chaos_step", {{"index", 0}}));
 
   const std::string path = journal_path("global");
   fs::remove(path);
@@ -120,9 +119,9 @@ TEST(Journal, GlobalInstallPointDegradesToNoOp) {
     ASSERT_TRUE(owned.open(path, /*append=*/false));
     set_journal(&owned);
     EXPECT_EQ(journal(), &owned);
-    EXPECT_TRUE(journal_event("chaos_step", {F::u64_field("index", 1)}, /*durable=*/true));
+    EXPECT_TRUE(journal_event("chaos_step", {{"index", 1}}, /*durable=*/true));
     set_journal(nullptr);
-    EXPECT_TRUE(journal_event("chaos_step", {F::u64_field("index", 2)}));
+    EXPECT_TRUE(journal_event("chaos_step", {{"index", 2}}));
   }
   const auto lines = read_lines(path);
   ASSERT_EQ(lines.size(), 1u);  // only the event sent while installed
@@ -147,7 +146,7 @@ TEST(Journal, MoveTransfersOwnershipOfTheFd) {
   Journal second = std::move(first);
   EXPECT_FALSE(first.is_open());
   EXPECT_TRUE(second.is_open());
-  EXPECT_TRUE(second.event("checkpoint", {F::u64_field("cursor", 5)}));
+  EXPECT_TRUE(second.event("checkpoint", {{"cursor", 5}}));
   second.close();
   EXPECT_EQ(read_lines(path).size(), 1u);
   fs::remove(path);

@@ -9,6 +9,7 @@
 
 #include "ranycast/cdn/catalog.hpp"
 #include "ranycast/resilience/stability.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::resilience {
 namespace {
@@ -24,9 +25,8 @@ lab::LabConfig tiny_config(std::uint64_t seed = 2023) {
 }
 
 std::string checkpoint_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() / "ranycast_stability_resume";
-  fs::create_directories(dir);
-  return (dir / (tag + ".ck")).string();
+  static const test_support::ScratchDir dir("ranycast_stability_resume");
+  return dir.file(tag + ".ck");
 }
 
 bool reports_equal(const StabilityReport& a, const StabilityReport& b) {

@@ -20,6 +20,7 @@
 #include "ranycast/exec/pool.hpp"
 #include "ranycast/guard/codec.hpp"
 #include "ranycast/traffic/model.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::traffic {
 namespace {
@@ -82,12 +83,6 @@ chaos::FaultPlan overload_plan() {
   return plan;
 }
 
-std::string checkpoint_path(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() / "ranycast_traffic_resume";
-  fs::create_directories(dir);
-  return (dir / (tag + ".ck")).string();
-}
-
 std::string baseline_json() {
   auto laboratory = lab::Lab::create(tiny_config());
   const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -103,8 +98,8 @@ std::string baseline_json() {
 }
 
 std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) {
-  const std::string ck = checkpoint_path(tag);
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_traffic_resume." + tag);
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -121,6 +116,9 @@ std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) 
     if (!first) return {};
     EXPECT_TRUE(first->report.truncated);
     EXPECT_EQ(first->report.steps.size(), abort_at);
+    // One generation per step from generation 1: nothing stale was adopted.
+    EXPECT_TRUE(fs::exists(ck + ".g" + std::to_string(abort_at)));
+    EXPECT_FALSE(fs::exists(ck + ".g" + std::to_string(abort_at + 1)));
     EXPECT_EQ(first->report.traffic.size(), abort_at);
   }
   auto laboratory = lab::Lab::create(tiny_config());
@@ -137,7 +135,6 @@ std::string abort_and_resume_json(std::size_t abort_at, const std::string& tag) 
   EXPECT_TRUE(second->sweep.resumed);
   EXPECT_EQ(second->sweep.resumed_from, abort_at);
   EXPECT_FALSE(second->report.truncated);
-  fs::remove(ck);
   return chaos::report_to_json(second->report).dump(2);
 }
 
@@ -177,8 +174,8 @@ TEST(TrafficResume, TrafficReportByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(TrafficResume, SteadyCheckpointDoesNotResumeIntoTrafficRun) {
-  const std::string ck = checkpoint_path("steady_to_traffic");
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_traffic_resume.steady_to_traffic");
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -202,12 +199,11 @@ TEST(TrafficResume, SteadyCheckpointDoesNotResumeIntoTrafficRun) {
   auto outcome = engine.run_guarded(overload_plan(), supervisor, policy);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
-  fs::remove(ck);
 }
 
 TEST(TrafficResume, DifferentCapacityModelDoesNotResume) {
-  const std::string ck = checkpoint_path("other_capacity");
-  fs::remove(ck);
+  const test_support::ScratchDir scratch("ranycast_traffic_resume.other_capacity");
+  const std::string ck = scratch.file("run.ck");
   {
     auto laboratory = lab::Lab::create(tiny_config());
     const auto& im6 = laboratory.add_deployment(cdn::catalog::imperva6());
@@ -234,7 +230,6 @@ TEST(TrafficResume, DifferentCapacityModelDoesNotResume) {
   auto outcome = engine.run_guarded(overload_plan(), supervisor, policy);
   ASSERT_FALSE(outcome.has_value());
   EXPECT_NE(outcome.error().find("fingerprint"), std::string::npos) << outcome.error();
-  fs::remove(ck);
 }
 
 TEST(TrafficResume, ForgedSiteCountQuarantinesNewestGeneration) {

@@ -5,13 +5,13 @@
 #include "ranycast/vfs/vfs.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <filesystem>
 #include <string>
 
 #include "ranycast/vfs/fault.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace ranycast::vfs {
 namespace {
@@ -19,10 +19,8 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string scratch(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   ("ranycast_vfs_test." + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  return (dir / tag).string();
+  static const test_support::ScratchDir dir("ranycast_vfs_test");
+  return dir.file(tag);
 }
 
 std::string blob(std::size_t n) {

@@ -295,27 +295,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  using F = obs::JournalField;
   obs::journal_event(
       "run_manifest",
-      {F::str("tool", "ranycast-chaos"), F::str("scenario", *scenario_path),
-       F::str("plan", plan->name), F::str("cdn", cdn_name),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed),
-       F::u64_field("planned_steps", plan->events.size()),
-       F::bool_field("transient", args.has("transient")),
-       F::bool_field("traffic", traffic_cfg.has_value()),
-       F::bool_field("delta", args.has("delta") || args.has("delta-verify") ||
-                                  args.has("delta-threshold")),
-       F::bool_field("resume", args.has("resume"))},
+      {{"tool", "ranycast-chaos"},
+       {"scenario", *scenario_path},
+       {"plan", plan->name},
+       {"cdn", cdn_name},
+       {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
+       {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
+       {"seed", config.seed},
+       {"planned_steps", plan->events.size()},
+       {"transient", args.has("transient")},
+       {"traffic", traffic_cfg.has_value()},
+       {"delta", args.has("delta") || args.has("delta-verify") || args.has("delta-threshold")},
+       {"resume", args.has("resume")}},
       /*durable=*/true);
 
-  obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
+  obs::journal_event("phase_begin", {{"phase", "lab.build"}});
   auto laboratory = lab::Lab::create(config);
   const auto& handle = laboratory.add_deployment(*spec);
   chaos::Engine engine(laboratory, handle);
-  obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
+  obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
 
   if (args.has("transient")) {
     converge::Config ccfg;
@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", guarded.error().c_str());
     return 2;
   }
-  obs::journal_event("phase_begin", {F::str("phase", "chaos.run")});
+  obs::journal_event("phase_begin", {{"phase", "chaos.run"}});
   chaos::ChaosReport report;
   bool truncated = false;
   if (guarded->requested) {
@@ -383,9 +383,9 @@ int main(int argc, char** argv) {
     report = std::move(*outcome);
   }
   obs::journal_event("phase_end",
-                     {F::str("phase", "chaos.run"),
-                      F::u64_field("completed_steps", report.completed_steps),
-                      F::bool_field("truncated", truncated)},
+                     {{"phase", "chaos.run"},
+                      {"completed_steps", report.completed_steps},
+                      {"truncated", truncated}},
                      /*durable=*/true);
 
   std::string rendered = format == "json" ? chaos::report_to_json(report).dump(2) + "\n"

@@ -368,18 +368,17 @@ int main(int argc, char** argv) {
 
   const bool csv = args.get_or("format", std::string("table")) == "csv";
   const std::string experiment = args.get_or("experiment", std::string("table3"));
-  using F = obs::JournalField;
-  obs::journal_event(
-      "run_manifest",
-      {F::str("tool", "ranycast-experiment"), F::str("experiment", experiment),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed)},
-      /*durable=*/true);
-  obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
+  obs::journal_event("run_manifest",
+                     {{"tool", "ranycast-experiment"},
+                      {"experiment", experiment},
+                      {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
+                      {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
+                      {"seed", config.seed}},
+                     /*durable=*/true);
+  obs::journal_event("phase_begin", {{"phase", "lab.build"}});
   auto laboratory = lab::Lab::create(config);
-  obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
-  obs::journal_event("phase_begin", {F::str("phase", "experiment." + experiment)});
+  obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
+  obs::journal_event("phase_begin", {{"phase", "experiment." + experiment}});
   std::optional<int> rc;
   if (experiment == "table3") rc = run_table3(laboratory, csv);
   if (experiment == "fig6c") rc = run_fig6c(laboratory, csv);
@@ -392,8 +391,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs::journal_event("phase_end",
-                     {F::str("phase", "experiment." + experiment),
-                      F::i64_field("exit_code", *rc)},
+                     {{"phase", "experiment." + experiment}, {"exit_code", *rc}},
                      /*durable=*/true);
   if (obs::enabled()) {
     exec::ThreadPool::global().publish_stats();

@@ -184,14 +184,12 @@ ServeKnobs knobs_from_flags(const flags::Parser& args, chaos::FaultPlan world_pl
 
 void journal_summary(const serve::Server& server, std::size_t completed,
                      std::size_t ticks) {
-  using F = obs::JournalField;
-  std::vector<F> line{F::u64_field("ticks_completed", completed),
-                      F::u64_field("ticks_planned", ticks)};
-  for (F& field : obs::journal_fields(server.stats())) line.push_back(std::move(field));
-  line.push_back(F::u64_field("p50_us", server.latency().quantile_us(0.50)));
-  line.push_back(F::u64_field("p99_us", server.latency().quantile_us(0.99)));
-  line.push_back(F::u64_field("ladder_transitions", server.transitions().size()));
-  line.push_back(F::str("final_rung", std::string(serve::to_string(server.rung()))));
+  obs::EventFields line{{"ticks_completed", completed}, {"ticks_planned", ticks}};
+  for (auto& field : obs::journal_fields(server.stats())) line.push_back(std::move(field));
+  line.emplace_back("p50_us", server.latency().quantile_us(0.50));
+  line.emplace_back("p99_us", server.latency().quantile_us(0.99));
+  line.emplace_back("ladder_transitions", server.transitions().size());
+  line.emplace_back("final_rung", std::string(serve::to_string(server.rung())));
   obs::journal_event("serve_summary", line, /*durable=*/true);
 }
 
@@ -467,26 +465,26 @@ int main(int argc, char** argv) {
 
   const ServeKnobs knobs = knobs_from_flags(args, std::move(world_plan), config.seed);
 
-  using F = obs::JournalField;
-  obs::journal_event(
-      "run_manifest",
-      {F::str("tool", "ranycast-serve"), F::str("mode", command),
-       F::str("cdn", cdn_name),
-       F::u64_field("stubs", static_cast<std::uint64_t>(config.world.stub_count)),
-       F::u64_field("probes", static_cast<std::uint64_t>(config.census.total_probes)),
-       F::u64_field("seed", config.seed), F::u64_field("ticks", knobs.ticks),
-       F::u64_field("tick_ns", knobs.tick_ns),
-       F::u64_field("queries_per_tick", knobs.queries_per_tick),
-       F::u64_field("budget_us", knobs.budget_us),
-       F::u64_field("world_events", knobs.cfg.world_plan.events.size()),
-       F::u64_field("serve_faults", knobs.cfg.faults.events.size()),
-       F::bool_field("resume", args.has("resume"))},
-      /*durable=*/true);
+  obs::journal_event("run_manifest",
+                     {{"tool", "ranycast-serve"},
+                      {"mode", command},
+                      {"cdn", cdn_name},
+                      {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
+                      {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
+                      {"seed", config.seed},
+                      {"ticks", knobs.ticks},
+                      {"tick_ns", knobs.tick_ns},
+                      {"queries_per_tick", knobs.queries_per_tick},
+                      {"budget_us", knobs.budget_us},
+                      {"world_events", knobs.cfg.world_plan.events.size()},
+                      {"serve_faults", knobs.cfg.faults.events.size()},
+                      {"resume", args.has("resume")}},
+                     /*durable=*/true);
 
-  obs::journal_event("phase_begin", {F::str("phase", "lab.build")});
+  obs::journal_event("phase_begin", {{"phase", "lab.build"}});
   auto laboratory = lab::Lab::create(config);
   const auto& handle = laboratory.add_deployment(*spec);
-  obs::journal_event("phase_end", {F::str("phase", "lab.build")}, /*durable=*/true);
+  obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
 
   const int rc = command == "drive" ? run_drive(args, laboratory, handle, knobs)
                                     : run_live(args, laboratory, handle, knobs);
