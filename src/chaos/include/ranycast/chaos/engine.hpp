@@ -11,13 +11,13 @@
 // bytes; timings and fault telemetry live in the obs layer instead.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "ranycast/atlas/grouping.hpp"
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/converge/plane.hpp"
 #include "ranycast/core/expected.hpp"
@@ -25,7 +25,6 @@
 #include "ranycast/guard/runtime.hpp"
 #include "ranycast/guard/sweep.hpp"
 #include "ranycast/lab/lab.hpp"
-#include "ranycast/traffic/flows.hpp"
 #include "ranycast/traffic/report.hpp"
 
 namespace ranycast::chaos {
@@ -124,19 +123,24 @@ struct GuardedChaosRun {
   guard::SweepResult sweep;
 };
 
+struct ProbeView;  // engine internals: src/chaos/src/step_plane.hpp
+class StepPlane;
+
 /// Applies fault plans to one deployment of one laboratory. The engine
 /// mutates lab state in place (that is the point); after run() returns the
 /// faults of the plan remain applied unless the plan restored them.
 class Engine {
  public:
   Engine(lab::Lab& laboratory, const lab::DeploymentHandle& handle);
+  Engine(Engine&&) noexcept;
+  ~Engine();
 
   /// Record the transient convergence of every subsequent step: a
   /// converge::Plane is cold-started lazily before the first step and fed
   /// each step's origin deltas, filling ChaosReport::transient alongside
   /// ChaosReport::steps. The convergence config is folded into the guarded
   /// checkpoint fingerprint, so a transient run never resumes from (or into)
-  /// a steady-only checkpoint.
+  /// a steady-only checkpoint. Calling it again replaces the config.
   void enable_transient(const converge::Config& cfg);
 
   /// Record flow-level load for every subsequent step: each step solves the
@@ -145,6 +149,8 @@ class Engine {
   /// utilization, shed/dropped-flow and cascade-depth accounting. The
   /// traffic config is folded into the guarded checkpoint fingerprint, so a
   /// traffic run never resumes from (or into) a load-free checkpoint.
+  /// Calling it again replaces the config. Whatever order the planes are
+  /// enabled in, each step runs transient before traffic.
   void enable_traffic(const traffic::TrafficConfig& cfg);
 
   /// Route every subsequent re-solve through the incremental delta solver
@@ -164,9 +170,11 @@ class Engine {
   /// Apply every event of the plan in order. Fails (without measuring
   /// further) on an unappliable event: unknown site/region/IXP/database
   /// index, a restore with no matching withdrawal, or an unknown adjacency.
+  /// This is run_guarded() under a supervisor without limits and without a
+  /// checkpoint, so it always completes or fails.
   core::Expected<ChaosReport, std::string> run(const FaultPlan& plan);
 
-  /// run() under a guard::Supervisor: the timeline stops cooperatively at
+  /// The step loop under a guard::Supervisor: the timeline stops cooperatively at
   /// step boundaries on cancel/deadline/stall (the report is then marked
   /// truncated with completed-vs-planned accounting), persists a
   /// checkpoint on the policy's cadence, and resumes from one by replaying
@@ -188,44 +196,25 @@ class Engine {
   std::string apply_event(const FaultEvent& e) { return apply(e); }
 
  private:
-  struct ProbeView;  // per-probe snapshot (answer, route, rtt)
-
   std::string apply(const FaultEvent& e);  ///< "" on success, else the error
   void snapshot(std::vector<ProbeView>& out) const;
-  /// Build (or rebuild after a resume) the convergence plane from the lab's
-  /// current state; no-op unless enable_transient was called.
-  void ensure_plane();
-  /// snapshot → apply → snapshot → reduce for one event; shared between
-  /// run() and run_guarded(). When transient recording is on, also runs the
-  /// convergence plane for the step and appends to *transient_out; when
-  /// traffic is on, solves the load model around the fault and appends to
-  /// *traffic_out.
-  core::Expected<StepReport, std::string> execute_step(
-      const FaultPlan& plan, std::size_t index, std::vector<ProbeView>& before,
-      std::vector<ProbeView>& after, std::vector<converge::StepTransient>* transient_out,
-      std::vector<traffic::StepTraffic>* traffic_out);
-  /// The window's flows under the current surge scale (cached: regenerated
-  /// only when a traffic_surge/_restore event changes the scale).
-  const traffic::FlowSet& current_flows();
-  /// Solve the traffic model against one measurement pass's catchment.
-  /// Must run while the routes the views were snapshotted from are still
-  /// live (route_for supplies the shed alternates).
-  traffic::TrafficSolve solve_traffic(const std::vector<ProbeView>& views);
+  /// snapshot → planes' before_fault → apply → snapshot → reduce → planes'
+  /// after_fault → append the step and commit each plane's record to
+  /// `report`. "" on success, else the error.
+  std::string execute_step(const FaultPlan& plan, std::size_t index,
+                           std::vector<ProbeView>& before, std::vector<ProbeView>& after,
+                           ChaosReport& report);
 
   lab::Lab& lab_;
   lab::DeploymentHandle* handle_;
   /// Undo state for restore events.
   std::unordered_map<std::uint16_t, std::vector<std::size_t>> withdrawn_sites_;
   std::unordered_map<std::size_t, std::vector<SiteId>> withdrawn_regions_;
-  std::optional<converge::Config> transient_cfg_;
-  std::unique_ptr<converge::Plane> plane_;
-  std::optional<traffic::TrafficConfig> traffic_cfg_;
   /// Current arrival-rate multiplier (mutated by traffic_surge/_restore;
   /// restored on resume by the fast-forward replay like every other fault).
   double surge_scale_{1.0};
-  std::vector<atlas::ProbeGroup> probe_groups_;  ///< built lazily, stable per run
-  bool groups_built_{false};
-  std::optional<std::pair<std::uint64_t, traffic::FlowSet>> flow_cache_;
+  /// The optional step planes in step order: transient, then traffic.
+  std::array<std::unique_ptr<StepPlane>, 2> planes_;
   std::optional<bgp::DeltaStats> last_step_delta_;
 };
 

@@ -1,6 +1,5 @@
 #include "ranycast/chaos/engine.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "ranycast/analysis/stats.hpp"
@@ -11,7 +10,7 @@
 #include "ranycast/io/config.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/span.hpp"
-#include "ranycast/traffic/solver.hpp"
+#include "step_plane.hpp"
 
 namespace ranycast::chaos {
 
@@ -33,13 +32,6 @@ std::uint64_t run_fingerprint(const lab::Lab& laboratory, const cdn::Deployment&
   return h;
 }
 
-/// Thrown out of the sweep's hooks on an unappliable event or a history that
-/// cannot be resumed; caught in run_guarded and converted back into the
-/// Expected error channel.
-struct StepFailure : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 /// One journal line per *measured* step. Resumed runs replay already-measured
 /// events without re-measuring, so replayed steps are never re-emitted — a
 /// journal's chaos_step events after dedup by index are exactly the report's
@@ -60,119 +52,25 @@ void journal_step(const StepReport& s, std::uint64_t dur_ns,
   obs::journal_event("chaos_step", line);
 }
 
-/// One journal line per measured step when traffic is on, right after the
-/// step's chaos_step line (same dedup-by-index contract on resume).
-void journal_traffic(const traffic::StepTraffic& t) {
-  if (obs::journal() == nullptr) return;
-  obs::journal_event("traffic_step",
-                     {{"index", t.index},
-                      {"event", t.event},
-                      {"offered_mbps", t.solve.offered_mbps},
-                      {"served_mbps", t.solve.served_mbps},
-                      {"shed_mbps", t.solve.shed_mbps},
-                      {"dropped_mbps", t.solve.dropped_mbps},
-                      {"flows_offered", t.solve.flows_offered},
-                      {"flows_shed", t.solve.flows_shed},
-                      {"flows_dropped", t.solve.flows_dropped},
-                      {"flows_unrouted", t.solve.flows_unrouted},
-                      {"overloaded_sites", t.solve.overloaded_sites},
-                      {"tipped_sites", t.tipped_sites},
-                      {"cascade_depth", t.cascade_depth},
-                      {"max_utilization", t.solve.max_utilization},
-                      {"mean_utilization", t.solve.mean_utilization},
-                      {"queue_delay_p90_ms", t.solve.queue_delay_p90_ms},
-                      {"inflated_p50_ms", t.inflated_p50_ms},
-                      {"inflated_p90_ms", t.inflated_p90_ms}});
-}
-
 }  // namespace
-
-/// What one probe saw during a measurement pass. Routes are captured by
-/// value (origin site), never by pointer: a re-solve frees the routes of
-/// the previous pass.
-struct Engine::ProbeView {
-  const atlas::Probe* probe{nullptr};
-  lab::Lab::DnsAnswer answer{};
-  bool routed{false};
-  SiteId site{kInvalidSite};
-  std::optional<Rtt> rtt{};
-};
 
 Engine::Engine(lab::Lab& laboratory, const lab::DeploymentHandle& handle)
     : lab_(laboratory), handle_(laboratory.handle_mut(handle)) {}
 
+Engine::Engine(Engine&&) noexcept = default;
+Engine::~Engine() = default;
+
 void Engine::enable_transient(const converge::Config& cfg) {
-  transient_cfg_ = cfg;
-  plane_.reset();
+  planes_[0] = make_transient_plane(cfg);
 }
 
 void Engine::enable_traffic(const traffic::TrafficConfig& cfg) {
-  traffic_cfg_ = cfg;
-  flow_cache_.reset();
-  groups_built_ = false;
+  planes_[1] = make_traffic_plane(cfg);
 }
 
 void Engine::enable_delta(const bgp::DeltaConfig& cfg) {
   lab_.set_delta_config(cfg);
   last_step_delta_.reset();
-}
-
-const traffic::FlowSet& Engine::current_flows() {
-  if (!groups_built_) {
-    probe_groups_ = atlas::group_probes(lab_.census().retained());
-    groups_built_ = true;
-  }
-  // Demand only changes when a traffic_surge/_restore event moves the scale;
-  // key the cache on the exact bits so equal scales never regenerate.
-  const std::uint64_t key = std::bit_cast<std::uint64_t>(surge_scale_);
-  if (!flow_cache_ || flow_cache_->first != key) {
-    flow_cache_.emplace(key, traffic::generate_flows(probe_groups_, lab_.census().retained(),
-                                                     *traffic_cfg_, surge_scale_));
-  }
-  return flow_cache_->second;
-}
-
-traffic::TrafficSolve Engine::solve_traffic(const std::vector<ProbeView>& views) {
-  obs::Span span("chaos.traffic_solve");
-  const traffic::FlowSet& flows = current_flows();
-  const auto& dep = handle_->deployment;
-  const std::size_t regions = dep.regions().size();
-  const bool shed = traffic_cfg_->policy == traffic::OverloadPolicy::Shed;
-  // Per-probe assignment is pure in (view, live routes): disjoint slots, so
-  // the fan-out is worker-count independent like every other snapshot pass.
-  std::vector<traffic::ProbeAssign> assign(views.size());
-  exec::ThreadPool::global().parallel_for(views.size(), [&](std::size_t i) {
-    const ProbeView& v = views[i];
-    if (!v.routed) return;
-    traffic::ProbeAssign pa;
-    pa.site = v.site;
-    if (shed) {
-      // DNS can steer this client to any other regional prefix it still has
-      // a route to; the shed targets are those prefixes' catchment sites
-      // (region order — deterministic).
-      for (std::size_t r2 = 0; r2 < regions; ++r2) {
-        if (r2 == v.answer.region) continue;
-        const bgp::Route* route = handle_->route_for(v.probe->asn, r2);
-        if (route == nullptr || route->origin_site == v.site) continue;
-        bool dup = false;
-        for (SiteId existing : pa.alternates) dup = dup || existing == route->origin_site;
-        if (!dup) pa.alternates.push_back(route->origin_site);
-      }
-    }
-    assign[i] = std::move(pa);
-  });
-  return traffic::solve(flows, assign, dep.sites().size(), *traffic_cfg_);
-}
-
-void Engine::ensure_plane() {
-  if (!transient_cfg_ || plane_ != nullptr || handle_ == nullptr) return;
-  // Cold-start on whatever the lab looks like right now — before the first
-  // step of a fresh run, or after a resume's fast-forward replay. Either
-  // way the plane quiesces onto the unique stable state of the current
-  // topology, so the transients of the remaining steps are byte-identical
-  // to an uninterrupted run's.
-  plane_ = std::make_unique<converge::Plane>(lab_, *handle_, *transient_cfg_);
-  plane_->rebuild();
 }
 
 void Engine::snapshot(std::vector<ProbeView>& out) const {
@@ -356,10 +254,9 @@ std::string Engine::apply(const FaultEvent& e) {
   return "";
 }
 
-core::Expected<StepReport, std::string> Engine::execute_step(
-    const FaultPlan& plan, std::size_t index, std::vector<ProbeView>& before,
-    std::vector<ProbeView>& after, std::vector<converge::StepTransient>* transient_out,
-    std::vector<traffic::StepTraffic>* traffic_out) {
+std::string Engine::execute_step(const FaultPlan& plan, std::size_t index,
+                                 std::vector<ProbeView>& before,
+                                 std::vector<ProbeView>& after, ChaosReport& report) {
   static obs::Counter& steps_counter = metrics().counter("chaos.steps");
   static obs::Histogram& step_us = metrics().histogram("chaos.step.total_us");
   const FaultEvent& event = plan.events[index];
@@ -370,31 +267,22 @@ core::Expected<StepReport, std::string> Engine::execute_step(
 
   const auto& gaz = geo::Gazetteer::world();
   const auto& dep = handle_->deployment;
-
-  const bool transient = transient_cfg_.has_value() && transient_out != nullptr;
-  std::vector<std::vector<bgp::OriginAttachment>> origins_before;
-  if (transient) {
-    ensure_plane();  // baseline must quiesce on the pre-fault state
-    origins_before = converge::origins_by_region(dep);
-  }
+  const std::string described = describe(event);
 
   snapshot(before);
-  const bool traffic_on = traffic_cfg_.has_value() && traffic_out != nullptr;
-  traffic::TrafficSolve before_solve;
-  if (traffic_on) {
-    // Solved pre-apply: the shed alternates come from route_for, which the
-    // fault's re-solve is about to invalidate.
-    before_solve = solve_traffic(before);
+  after.clear();
+  const StepContext context{lab_, *handle_, index, described, surge_scale_, before, after};
+  for (const auto& plane : planes_) {
+    if (plane) plane->before_fault(context);
   }
   if (const std::string err = apply(event); !err.empty()) {
-    return core::unexpected("step " + std::to_string(index) + " (" + describe(event) +
-                            "): " + err);
+    return "step " + std::to_string(index) + " (" + described + "): " + err;
   }
   snapshot(after);
 
   StepReport step;
   step.index = index;
-  step.event = describe(event);
+  step.event = described;
   step.probes = before.size();
 
   std::vector<double> before_ms, after_ms;
@@ -461,90 +349,22 @@ core::Expected<StepReport, std::string> Engine::execute_step(
   step.after_p50_ms = analysis::percentile(after_ms, 50);
   step.after_p90_ms = analysis::percentile(after_ms, 90);
 
-  if (transient) {
-    const auto deltas = converge::diff_origins(origins_before, converge::origins_by_region(dep));
-    // Probes enter the transient rollup from the pre-fault view: the AS they
-    // measure from and the regional prefix they were being served from when
-    // the fault hit — that prefix's convergence is their outage.
-    std::vector<converge::ProbeRef> refs;
-    refs.reserve(before.size());
-    for (const ProbeView& b : before) {
-      refs.push_back(converge::ProbeRef{b.probe->asn, b.answer.region});
-    }
-    transient_out->push_back(plane_->step(index, describe(event), deltas, refs));
-  }
-
-  if (traffic_on) {
-    static obs::Gauge& util_max = metrics().gauge("traffic.max_utilization");
-    static obs::Gauge& util_mean = metrics().gauge("traffic.mean_utilization");
-    static obs::Counter& shed_flows = metrics().counter("traffic.flows_shed");
-    static obs::Counter& dropped_flows = metrics().counter("traffic.flows_dropped");
-    static obs::Histogram& delay_hist = metrics().histogram("traffic.queue_delay_ms");
-    traffic::StepTraffic t;
-    t.index = index;
-    t.event = describe(event);
-    t.solve = solve_traffic(after);
-    t.before_max_utilization = before_solve.max_utilization;
-    t.before_mean_utilization = before_solve.mean_utilization;
-    const double threshold = traffic_cfg_->admission_threshold;
-    const std::size_t site_count =
-        std::min(before_solve.sites.size(), t.solve.sites.size());
-    for (std::size_t s = 0; s < site_count; ++s) {
-      const traffic::SiteLoad& b = before_solve.sites[s];
-      const traffic::SiteLoad& a = t.solve.sites[s];
-      if (a.capacity_mbps > 0.0 && b.utilization <= threshold && a.utilization > threshold) {
-        ++t.tipped_sites;
-      }
-    }
-    // Depth 0: absorbed. 1: the fault itself tipped sites. >1: shedding off
-    // the tipped sites overloaded further neighbors in turn.
-    t.cascade_depth = (t.tipped_sites > 0 ? 1 : 0) + t.solve.cascade_depth;
-    std::vector<double> inflated;
-    inflated.reserve(after.size());
-    for (const ProbeView& a : after) {
-      if (!a.routed || !a.rtt) continue;
-      const std::size_t s = value(a.site);
-      const double wait =
-          s < t.solve.sites.size() ? t.solve.sites[s].queue_delay_ms : 0.0;
-      inflated.push_back(a.rtt->ms + wait);
-      delay_hist.record(wait);
-    }
-    t.inflated_p50_ms = analysis::percentile(inflated, 50);
-    t.inflated_p90_ms = analysis::percentile(inflated, 90);
-    util_max.set(t.solve.max_utilization);
-    util_mean.set(t.solve.mean_utilization);
-    shed_flows.add(t.solve.flows_shed);
-    dropped_flows.add(t.solve.flows_dropped);
-    traffic_out->push_back(std::move(t));
+  for (const auto& plane : planes_) {
+    if (plane) plane->after_fault(context);
   }
   journal_step(step, obs::trace_now_ns() - step_start_ns, last_step_delta_);
-  if (traffic_on) journal_traffic(traffic_out->back());
-  return step;
+  report.steps.push_back(std::move(step));
+  for (const auto& plane : planes_) {
+    if (plane) plane->commit(report);
+  }
+  return "";
 }
 
 core::Expected<ChaosReport, std::string> Engine::run(const FaultPlan& plan) {
-  if (handle_ == nullptr) {
-    return core::unexpected(std::string("deployment handle is not registered in this lab"));
-  }
-  obs::Span run_span("chaos.run");
-  static obs::Counter& plans = metrics().counter("chaos.plans");
-  plans.add();
-
-  ChaosReport report;
-  report.plan = plan.name;
-  report.deployment = handle_->deployment.name();
-  report.seed = lab_.config().seed;
-  report.probes = lab_.census().retained().size();
-  report.planned_steps = plan.events.size();
-
-  std::vector<ProbeView> before, after;
-  for (std::size_t i = 0; i < plan.events.size(); ++i) {
-    auto step = execute_step(plan, i, before, after, &report.transient, &report.traffic);
-    if (!step) return core::unexpected(std::move(step).error());
-    report.steps.push_back(std::move(*step));
-    report.completed_steps = i + 1;
-  }
-  return report;
+  guard::Supervisor supervisor;  // no limits: no watchdog thread, never stops
+  auto outcome = run_guarded(plan, supervisor, guard::CheckpointPolicy{});
+  if (!outcome) return core::unexpected(std::move(outcome).error());
+  return std::move(outcome->report);
 }
 
 core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
@@ -553,7 +373,7 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
   if (handle_ == nullptr) {
     return core::unexpected(std::string("deployment handle is not registered in this lab"));
   }
-  obs::Span run_span("chaos.run_guarded");
+  obs::Span run_span("chaos.run");
   static obs::Counter& plans = metrics().counter("chaos.plans");
   plans.add();
 
@@ -565,79 +385,54 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
   report.probes = lab_.census().retained().size();
   report.planned_steps = plan.events.size();
 
+  // A plane's run is a different experiment from a run without it (or with
+  // other settings), so its checkpoints never resume into one another.
   std::uint64_t fingerprint = run_fingerprint(lab_, handle_->deployment, plan);
-  // A transient run's checkpoints are a different experiment from a
-  // steady-only run's (and from a transient run under other timers).
-  if (transient_cfg_) {
-    fingerprint = hash_combine(fingerprint, converge::fingerprint(*transient_cfg_));
-  }
-  // Same for traffic: demand, capacities and policy are part of the
-  // experiment's identity.
-  if (traffic_cfg_) {
-    fingerprint = hash_combine(fingerprint, traffic::fingerprint(*traffic_cfg_));
+  for (const auto& plane : planes_) {
+    if (plane) fingerprint = hash_combine(fingerprint, plane->fingerprint());
   }
 
   std::vector<ProbeView> before, after;
   guard::SweepHooks hooks;
   hooks.process = [&](std::size_t i) {
-    auto step = execute_step(plan, i, before, after, &report.transient, &report.traffic);
-    if (!step) throw StepFailure(std::move(step).error());
-    report.steps.push_back(std::move(*step));
+    if (std::string err = execute_step(plan, i, before, after, report); !err.empty()) {
+      throw StepFailure(std::move(err));
+    }
   };
-  // Payload: the step list, then the transient and traffic lists when those
-  // planes are on, each a count plus records (guard/codec.hpp).
+  // Payload: the step list, then each plane's list in plane order, each a
+  // count plus records (guard/codec.hpp).
   hooks.save = [&](guard::ByteWriter& w) {
     guard::encode(w, report.steps);
-    if (transient_cfg_) guard::encode(w, report.transient);
-    if (traffic_cfg_) guard::encode(w, report.traffic);
+    for (const auto& plane : planes_) {
+      if (plane) plane->encode(w, report);
+    }
   };
   // Returning false rejects this generation (the chain quarantines it and
-  // offers the next older one), so nothing is kept until the whole payload
-  // has decoded.
+  // offers the next older one). A rejected payload may leave partial lists
+  // behind: the next call decodes every list afresh, and a run whose every
+  // generation is rejected fails, so none of them reaches a report.
   hooks.load = [&](guard::ByteReader& r) {
-    std::vector<StepReport> steps;
-    std::vector<converge::StepTransient> transient;
-    std::vector<traffic::StepTraffic> traffic;
-    if (!guard::decode(r, steps) || steps.size() > plan.events.size()) return false;
-    if (transient_cfg_ &&
-        (!guard::decode(r, transient) || transient.size() != steps.size())) {
+    if (!guard::decode(r, report.steps) || report.steps.size() > plan.events.size()) {
       return false;
     }
-    if (traffic_cfg_ && (!guard::decode(r, traffic) || traffic.size() != steps.size())) {
-      return false;
+    for (const auto& plane : planes_) {
+      if (plane && !plane->decode(r, report.steps.size(), report, policy.path)) return false;
     }
     if (!r.at_end()) return false;
-    // An oscillation-truncated step leaves the convergence plane in a
-    // mid-flight state that the *next* step repairs with an in-step
-    // re-flood. A resumed plane cold-starts onto the stable state instead
-    // and would not replay those repair events, so a history containing an
-    // oscillation cannot be resumed byte-identically. The generation itself
-    // is sound, so this fails the run instead of quarantining it.
-    for (const converge::StepTransient& t : transient) {
-      if (t.oscillating) {
-        throw StepFailure(policy.path + ": checkpoint history holds an oscillation-"
-                          "truncated step, which cannot be resumed byte-identically");
-      }
-    }
-    report.steps = std::move(steps);
-    report.transient = std::move(transient);
-    report.traffic = std::move(traffic);
-    // The surge scale and flow cache are rebuilt by the fast-forward replay
-    // below (traffic_surge events are appliable mutations like any other
-    // fault), so no traffic-plane state travels outside the steps.
-    flow_cache_.reset();
-    // The plane (if any) must cold-start after the replay below, on the
-    // checkpoint's topology, not before it.
-    plane_.reset();
     // Fast-forward: re-apply the already-measured events so the lab reaches
     // the exact state the checkpoint was taken in. No re-measurement — the
     // measurement passes read lab state but never change it, so mutations
     // alone (with the original tie-break salts inside resolve()) are enough.
-    // An event that fails here fails the run: the lab is already mutated, so
-    // falling back to an older generation is no longer sound.
+    // That includes the surge scale: traffic_surge events are appliable
+    // mutations like any other fault. An event that fails here fails the
+    // run: the lab is already mutated, so falling back to an older
+    // generation is no longer sound.
     for (std::size_t i = 0; i < report.steps.size(); ++i) {
       std::string err = apply(plan.events[i]);
       if (!err.empty()) throw StepFailure(std::move(err));
+    }
+    for (const auto& plane : planes_) {
+      if (plane) plane->reset();
     }
     return true;
   };
@@ -656,13 +451,11 @@ core::Expected<GuardedChaosRun, std::string> Engine::run_guarded(
     return core::unexpected(policy.path +
                             ": checkpoint cursor disagrees with its step list");
   }
-  if (transient_cfg_ && report.transient.size() != report.steps.size()) {
-    return core::unexpected(policy.path +
-                            ": transient records disagree with the step list");
-  }
-  if (traffic_cfg_ && report.traffic.size() != report.steps.size()) {
-    return core::unexpected(policy.path +
-                            ": traffic records disagree with the step list");
+  for (const auto& plane : planes_) {
+    if (plane && plane->records(report) != report.steps.size()) {
+      return core::unexpected(policy.path + ": " + plane->name() +
+                              " records disagree with the step list");
+    }
   }
   report.completed_steps = out.sweep.completed;
   report.truncated = !out.sweep.complete();

@@ -11,51 +11,32 @@
 #include "ranycast/analysis/export.hpp"
 #include "ranycast/analysis/load.hpp"
 #include "ranycast/analysis/table.hpp"
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/lab/lab.hpp"
-#include "ranycast/tangled/testbed.hpp"
 #include "ranycast/verfploeter/census.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
-
-namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad : args.unknown({"cdn", "region", "format", "seed"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
 
-  lab::LabConfig config;
-  config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  auto laboratory = lab::Lab::create(config);
+  const auto config = tool::bind_lab_flags(args);
+  if (!config) return tool::fail(config.error());
+  auto laboratory = lab::Lab::create(*config);
   const auto& gaz = geo::Gazetteer::world();
   const auto& handle = laboratory.add_deployment(*spec);
 
   const auto region = static_cast<std::size_t>(args.get_or("region", std::int64_t{0}));
   if (region >= handle.deployment.regions().size()) {
-    std::fprintf(stderr, "region %zu out of range (deployment has %zu)\n", region,
-                 handle.deployment.regions().size());
-    return 2;
+    return tool::fail("region " + std::to_string(region) + " out of range (deployment has " +
+                      std::to_string(handle.deployment.regions().size()) + ")");
   }
   const auto census = verfploeter::full_census(laboratory, handle, region);
 

@@ -44,8 +44,10 @@
 // resolve and compares; --delta-threshold X sets the fallback-to-full
 // frontier fraction (default 0.25). Either flag implies --delta.
 //
-// Guard flags (docs/reliability.md) run the timeline under a supervisor:
-// --deadline time-boxes the run (a truncated report is still emitted, with
+// Every run goes through the supervised step loop (docs/reliability.md), so
+// SIGTERM/SIGINT stop it at the next step boundary with a truncated report
+// and exit 3. Guard flags configure the supervisor: --deadline time-boxes
+// the run (a truncated report is still emitted, with
 // completed-vs-planned accounting, and the tool exits 3), --checkpoint
 // persists progress every K steps so a killed run can be continued with
 // --resume — the resumed report is byte-identical to an uninterrupted one.
@@ -54,7 +56,8 @@
 //
 // --journal FILE appends the structured NDJSON run journal (run_manifest,
 // phase markers, one chaos_step per measured step, transient_window under
-// --transient, checkpoint/resumed/stopped from guard), fsync'd at step
+// --transient, traffic_step under --traffic, checkpoint/resumed/stopped
+// from guard), fsync'd at step
 // granularity — readable up to the last completed step after SIGKILL.
 // --trace-out FILE additionally converts journal + flight recorder into
 // Chrome traceEvents JSON for ui.perfetto.dev (docs/observability.md);
@@ -65,33 +68,20 @@
 #include <fstream>
 
 #include "ranycast/analysis/table.hpp"
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
-#include "ranycast/exec/pool.hpp"
-#include "ranycast/flight/flight.hpp"
 #include "ranycast/guard/cli.hpp"
 #include "ranycast/io/config.hpp"
-#include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
-#include "ranycast/tangled/testbed.hpp"
 #include "ranycast/traffic/config.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
 
 namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
 
 std::string render_transient_table(const chaos::ChaosReport& report) {
   analysis::TextTable table({"#", "event", "blackholed", "looped", "flipped", "reconv p50",
@@ -178,35 +168,21 @@ int main(int argc, char** argv) {
             "damping", "dns-ttl-ms", "max-events", "traffic", "traffic-policy",
             "traffic-capacity-mbps", "traffic-scale", "delta", "delta-verify",
             "delta-threshold"}))) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   const std::string format = args.get_or("format", std::string("table"));
   if (format != "table" && format != "json") {
-    std::fprintf(stderr, "unknown format '%s' (table|json)\n", format.c_str());
-    return 2;
+    return tool::fail("unknown format '" + format + "' (table|json)");
   }
   const auto scenario_path = args.get("scenario");
-  if (!scenario_path) {
-    std::fprintf(stderr, "--scenario FILE is required\n");
-    return 2;
-  }
+  if (!scenario_path) return tool::fail("--scenario FILE is required");
   auto scenario_json = io::load_json(*scenario_path);
-  if (!scenario_json) {
-    std::fprintf(stderr, "scenario error: %s\n",
-                 scenario_json.error().to_string().c_str());
-    return 2;
-  }
+  if (!scenario_json) return tool::fail("scenario error: " + scenario_json.error().to_string());
   auto plan = chaos::plan_from_json(*scenario_json, *scenario_path);
-  if (!plan) {
-    std::fprintf(stderr, "scenario error: %s\n", plan.error().to_string().c_str());
-    return 2;
-  }
+  if (!plan) return tool::fail("scenario error: " + plan.error().to_string());
   auto scenario_traffic = chaos::traffic_from_scenario(*scenario_json, *scenario_path);
   if (!scenario_traffic) {
-    std::fprintf(stderr, "scenario error: %s\n",
-                 scenario_traffic.error().to_string().c_str());
-    return 2;
+    return tool::fail("scenario error: " + scenario_traffic.error().to_string());
   }
   std::optional<traffic::TrafficConfig> traffic_cfg = std::move(*scenario_traffic);
   const bool traffic_flags = args.has("traffic") || args.has("traffic-policy") ||
@@ -214,25 +190,8 @@ int main(int argc, char** argv) {
                              args.has("traffic-scale");
   if (traffic_flags && !traffic_cfg) traffic_cfg.emplace();
   if (traffic_cfg) {
-    if (const auto policy = args.get("traffic-policy")) {
-      if (*policy == "spill") {
-        traffic_cfg->policy = traffic::OverloadPolicy::Spill;
-      } else if (*policy == "shed") {
-        traffic_cfg->policy = traffic::OverloadPolicy::Shed;
-      } else {
-        std::fprintf(stderr, "unknown traffic policy '%s' (spill|shed)\n", policy->c_str());
-        return 2;
-      }
-    }
-    if (args.has("traffic-capacity-mbps")) {
-      traffic_cfg->default_site_capacity_mbps = args.get_or("traffic-capacity-mbps", 600.0);
-    }
-    if (args.has("traffic-scale")) {
-      traffic_cfg->demand_scale = args.get_or("traffic-scale", 1.0);
-    }
-    if (auto err = traffic::validate(*traffic_cfg, *scenario_path)) {
-      std::fprintf(stderr, "traffic config error: %s\n", err->to_string().c_str());
-      return 2;
+    if (const auto err = tool::bind_traffic_flags(args, *traffic_cfg, *scenario_path)) {
+      return tool::fail(*err);
     }
   }
   if (args.has("describe")) {
@@ -244,56 +203,15 @@ int main(int argc, char** argv) {
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
+  const auto config = tool::bind_lab_flags(args);
+  if (!config) return tool::fail(config.error());
 
-  // Journal / trace export imply observability: both are useless without
-  // the recorder running.
-  const auto trace_out = args.get("trace-out");
-  std::string journal_path = args.get_or("journal", std::string());
-  if (journal_path.empty() && trace_out) journal_path = *trace_out + ".journal.ndjson";
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
+  tool::RunJournal journal;
+  if (const auto err = journal.open(args)) return tool::fail(*err);
   obs::MetricsRegistry::global().set_label("tool", "ranycast-chaos");
   obs::MetricsRegistry::global().set_label("chaos.plan", plan->name);
-
-  obs::Journal journal;
-  if (!journal_path.empty()) {
-    // A fresh run starts a fresh journal; --resume appends to the previous
-    // attempt's (run_sweep writes the explicit resume marker).
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
-
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
-  if (auto err = io::validate_lab_config(config)) {
-    std::fprintf(stderr, "config error: %s\n", err->to_string().c_str());
-    return 2;
-  }
 
   obs::journal_event(
       "run_manifest",
@@ -301,9 +219,9 @@ int main(int argc, char** argv) {
        {"scenario", *scenario_path},
        {"plan", plan->name},
        {"cdn", cdn_name},
-       {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
-       {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
-       {"seed", config.seed},
+       {"stubs", static_cast<std::uint64_t>(config->world.stub_count)},
+       {"probes", static_cast<std::uint64_t>(config->census.total_probes)},
+       {"seed", config->seed},
        {"planned_steps", plan->events.size()},
        {"transient", args.has("transient")},
        {"traffic", traffic_cfg.has_value()},
@@ -312,7 +230,7 @@ int main(int argc, char** argv) {
       /*durable=*/true);
 
   obs::journal_event("phase_begin", {{"phase", "lab.build"}});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   const auto& handle = laboratory.add_deployment(*spec);
   chaos::Engine engine(laboratory, handle);
   obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
@@ -343,45 +261,19 @@ int main(int argc, char** argv) {
   }
 
   const auto guarded = guard::bind_guard_flags(args);
-  if (!guarded) {
-    std::fprintf(stderr, "%s\n", guarded.error().c_str());
-    return 2;
-  }
+  if (!guarded) return tool::fail(guarded.error());
   obs::journal_event("phase_begin", {{"phase", "chaos.run"}});
-  chaos::ChaosReport report;
-  bool truncated = false;
-  if (guarded->requested) {
-    const guard::CheckpointPolicy& policy = guarded->policy;
-    guard::Supervisor supervisor(guarded->limits);
-    // SIGTERM/SIGINT stop the timeline cooperatively at the next step
-    // boundary: the sweep flushes a final checkpoint plus the `stopped`
-    // journal line and the tool exits 3 with a resumable truncated report.
-    const guard::ScopedSignalCancel signal_cancel(supervisor);
-    auto outcome = engine.run_guarded(*plan, supervisor, policy);
-    if (!outcome) {
-      std::fprintf(stderr, "chaos error: %s\n", outcome.error().c_str());
-      return 2;
-    }
-    if (outcome->sweep.resumed) {
-      std::fprintf(stderr, "[guard] resumed from %s at step %zu/%zu\n",
-                   policy.path.c_str(), outcome->sweep.resumed_from,
-                   outcome->sweep.total);
-    }
-    report = std::move(outcome->report);
-    truncated = report.truncated;
-    if (truncated) {
-      std::fprintf(stderr, "[guard] stopped (%s): completed %zu of %zu steps\n",
-                   std::string(guard::to_string(outcome->sweep.stopped)).c_str(),
-                   report.completed_steps, report.planned_steps);
-    }
-  } else {
-    auto outcome = engine.run(*plan);
-    if (!outcome) {
-      std::fprintf(stderr, "chaos error: %s\n", outcome.error().c_str());
-      return 2;
-    }
-    report = std::move(*outcome);
-  }
+  const guard::CheckpointPolicy& policy = guarded->policy;
+  guard::Supervisor supervisor(guarded->limits);
+  // SIGTERM/SIGINT stop the timeline cooperatively at the next step
+  // boundary: the sweep flushes a final checkpoint (under --checkpoint) plus
+  // the `stopped` journal line and the tool exits 3 with a truncated report.
+  const guard::ScopedSignalCancel signal_cancel(supervisor);
+  auto outcome = engine.run_guarded(*plan, supervisor, policy);
+  if (!outcome) return tool::fail("chaos error: " + outcome.error());
+  tool::note_sweep(outcome->sweep, policy.path, "step");
+  const chaos::ChaosReport& report = outcome->report;
+  const bool truncated = report.truncated;
   obs::journal_event("phase_end",
                      {{"phase", "chaos.run"},
                       {"completed_steps", report.completed_steps},
@@ -400,38 +292,13 @@ int main(int argc, char** argv) {
   }
   if (const auto out_path = args.get("out")) {
     std::ofstream out(*out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-      return 2;
-    }
+    if (!out) return tool::fail("cannot write " + *out_path);
     out << rendered;
   } else {
     std::fputs(rendered.c_str(), stdout);
   }
 
-  if (obs::enabled()) {
-    exec::ThreadPool::global().publish_stats();
-    obs::rss_high_water_kb();
-  }
-  if (journal.is_open()) {
-    obs::set_journal(nullptr);
-    journal.close();
-  }
-  if (trace_out) {
-    auto loaded = flight::load_journal(journal_path);
-    if (!loaded) {
-      std::fprintf(stderr, "trace export: %s\n", loaded.error().c_str());
-      return 2;
-    }
-    const std::string trace = flight::chrome_trace(*loaded, obs::flight_snapshot());
-    std::ofstream tf(*trace_out, std::ios::binary | std::ios::trunc);
-    if (!tf) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out->c_str());
-      return 2;
-    }
-    tf << trace;
-    std::fprintf(stderr, "[obs] wrote %s\n", trace_out->c_str());
-  }
+  if (const auto err = journal.close()) return tool::fail(*err);
 
   if (obs::enabled() && args.has("obs")) {
     const double wall_ms =

@@ -36,7 +36,6 @@
 // Both imply --obs recording.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 
 #include "ranycast/guard/cli.hpp"
@@ -49,16 +48,14 @@
 #include "ranycast/chaos/engine.hpp"
 #include "ranycast/chaos/plan.hpp"
 #include "ranycast/core/flags.hpp"
-#include "ranycast/exec/pool.hpp"
-#include "ranycast/flight/flight.hpp"
 #include "ranycast/io/config.hpp"
 #include "ranycast/lab/comparison.hpp"
-#include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
 #include "ranycast/tangled/study.hpp"
 #include "ranycast/traffic/config.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
 
@@ -138,40 +135,16 @@ int run_causes(lab::Lab& laboratory, bool csv) {
   return 0;
 }
 
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  return std::nullopt;
-}
-
 // Failover under load (docs/traffic.md): install a demand surge, withdraw
 // the deployment's busiest site, restore it, and let the traffic plane
 // account for where the displaced load went under the chosen policy.
 int run_traffic(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
   const auto& handle = laboratory.add_deployment(*spec);
   traffic::TrafficConfig cfg;
-  const std::string policy = args.get_or("traffic-policy", std::string("spill"));
-  if (policy == "shed") {
-    cfg.policy = traffic::OverloadPolicy::Shed;
-  } else if (policy != "spill") {
-    std::fprintf(stderr, "unknown --traffic-policy '%s' (spill|shed)\n", policy.c_str());
-    return 2;
-  }
-  cfg.default_site_capacity_mbps =
-      args.get_or("traffic-capacity-mbps", cfg.default_site_capacity_mbps);
-  cfg.demand_scale = args.get_or("traffic-scale", cfg.demand_scale);
-  if (const auto err = traffic::validate(cfg, "<flags>")) {
-    std::fprintf(stderr, "traffic config error: %s\n", err->to_string().c_str());
-    return 2;
-  }
+  if (const auto err = tool::bind_traffic_flags(args, cfg, "<flags>")) return tool::fail(*err);
 
   // The busiest site is the interesting victim: its catchment is what the
   // surge piles onto and what the withdrawal displaces.
@@ -213,10 +186,7 @@ int run_traffic(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   chaos::Engine engine(laboratory, handle);
   engine.enable_traffic(cfg);
   auto report = engine.run(plan);
-  if (!report) {
-    std::fprintf(stderr, "traffic experiment error: %s\n", report.error().c_str());
-    return 2;
-  }
+  if (!report) return tool::fail("traffic experiment error: " + report.error());
 
   analysis::CsvWriter out({"step", "event", "offered_mbps", "served_mbps", "shed_mbps",
                            "dropped_mbps", "max_utilization", "overloaded_sites",
@@ -266,24 +236,17 @@ void print_stability(const resilience::StabilityReport& report, bool csv) {
 
 int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
   const auto& handle = laboratory.add_deployment(*spec);
   const auto region = static_cast<std::size_t>(args.get_or("region", std::int64_t{0}));
   const int trials = static_cast<int>(args.get_or("trials", std::int64_t{8}));
   if (region >= handle.deployment.regions().size()) {
-    std::fprintf(stderr, "deployment '%s' has no region %zu\n", cdn_name.c_str(), region);
-    return 2;
+    return tool::fail("deployment '" + cdn_name + "' has no region " + std::to_string(region));
   }
 
   const auto guarded = guard::bind_guard_flags(args);
-  if (!guarded) {
-    std::fprintf(stderr, "%s\n", guarded.error().c_str());
-    return 2;
-  }
+  if (!guarded) return tool::fail(guarded.error());
   if (!guarded->requested) {
     print_stability(
         resilience::catchment_stability(laboratory, handle.deployment, region, trials), csv);
@@ -297,22 +260,10 @@ int run_stability(lab::Lab& laboratory, bool csv, const flags::Parser& args) {
   const guard::ScopedSignalCancel signal_cancel(supervisor);
   auto outcome = resilience::catchment_stability_guarded(laboratory, handle.deployment,
                                                          region, trials, supervisor, policy);
-  if (!outcome) {
-    std::fprintf(stderr, "stability error: %s\n", outcome.error().to_string().c_str());
-    return 2;
-  }
-  if (outcome->sweep.resumed) {
-    std::fprintf(stderr, "[guard] resumed from %s at trial %zu/%zu\n", policy.path.c_str(),
-                 outcome->sweep.resumed_from, outcome->sweep.total);
-  }
+  if (!outcome) return tool::fail("stability error: " + outcome.error().to_string());
+  tool::note_sweep(outcome->sweep, policy.path, "trial");
   print_stability(outcome->report, csv);
-  if (!outcome->sweep.complete()) {
-    std::fprintf(stderr, "[guard] stopped (%s): completed %zu of %zu trials\n",
-                 std::string(guard::to_string(outcome->sweep.stopped)).c_str(),
-                 outcome->sweep.completed, outcome->sweep.total);
-    return 3;
-  }
-  return 0;
+  return outcome->sweep.complete() ? 0 : 3;
 }
 
 }  // namespace
@@ -324,45 +275,14 @@ int main(int argc, char** argv) {
            {"config", "experiment", "format", "dump-config", "obs", "cdn", "region",
             "trials", "stubs", "probes", "seed", "journal", "trace-out", "traffic-policy",
             "traffic-capacity-mbps", "traffic-scale"}))) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
-  const auto trace_out = args.get("trace-out");
-  std::string journal_path = args.get_or("journal", std::string());
-  if (journal_path.empty() && trace_out) journal_path = *trace_out + ".journal.ndjson";
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
-
-  obs::Journal journal;
-  if (!journal_path.empty()) {
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
-
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{2600}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{11000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
+  const auto config = tool::bind_lab_flags(args);
+  if (!config) return tool::fail(config.error());
+  tool::RunJournal journal;
+  if (const auto err = journal.open(args)) return tool::fail(*err);
   if (args.has("dump-config")) {
-    std::printf("%s\n", io::lab_config_to_json(config).dump(2).c_str());
+    std::printf("%s\n", io::lab_config_to_json(*config).dump(2).c_str());
     return 0;
   }
 
@@ -371,12 +291,12 @@ int main(int argc, char** argv) {
   obs::journal_event("run_manifest",
                      {{"tool", "ranycast-experiment"},
                       {"experiment", experiment},
-                      {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
-                      {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
-                      {"seed", config.seed}},
+                      {"stubs", static_cast<std::uint64_t>(config->world.stub_count)},
+                      {"probes", static_cast<std::uint64_t>(config->census.total_probes)},
+                      {"seed", config->seed}},
                      /*durable=*/true);
   obs::journal_event("phase_begin", {{"phase", "lab.build"}});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
   obs::journal_event("phase_begin", {{"phase", "experiment." + experiment}});
   std::optional<int> rc;
@@ -386,36 +306,13 @@ int main(int argc, char** argv) {
   if (experiment == "stability") rc = run_stability(laboratory, csv, args);
   if (experiment == "traffic") rc = run_traffic(laboratory, csv, args);
   if (!rc) {
-    std::fprintf(stderr, "unknown experiment '%s' (table3|fig6c|causes|stability|traffic)\n",
-                 experiment.c_str());
-    return 2;
+    return tool::fail("unknown experiment '" + experiment +
+                      "' (table3|fig6c|causes|stability|traffic)");
   }
   obs::journal_event("phase_end",
                      {{"phase", "experiment." + experiment}, {"exit_code", *rc}},
                      /*durable=*/true);
-  if (obs::enabled()) {
-    exec::ThreadPool::global().publish_stats();
-    obs::rss_high_water_kb();
-  }
-  if (journal.is_open()) {
-    obs::set_journal(nullptr);
-    journal.close();
-  }
-  if (trace_out) {
-    auto loaded = flight::load_journal(journal_path);
-    if (!loaded) {
-      std::fprintf(stderr, "trace export: %s\n", loaded.error().c_str());
-      return 2;
-    }
-    const std::string trace = flight::chrome_trace(*loaded, obs::flight_snapshot());
-    std::ofstream tf(*trace_out, std::ios::binary | std::ios::trunc);
-    if (!tf) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out->c_str());
-      return 2;
-    }
-    tf << trace;
-    std::fprintf(stderr, "[obs] wrote %s\n", trace_out->c_str());
-  }
+  if (const auto err = journal.close()) return tool::fail(*err);
   if (args.has("obs")) std::fprintf(stderr, "%s\n", obs::json_report().c_str());
   return *rc;
 }

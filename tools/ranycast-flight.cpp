@@ -36,6 +36,7 @@
 #include "ranycast/core/flags.hpp"
 #include "ranycast/flight/flight.hpp"
 #include "ranycast/guard/chain.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
 
@@ -57,17 +58,13 @@ int usage() {
 int run_verify(const std::optional<std::string>& journal_path,
                const std::optional<std::string>& checkpoint_path) {
   if (!journal_path && !checkpoint_path) {
-    std::fprintf(stderr, "verify needs --journal and/or --checkpoint\n");
-    return 2;
+    return tool::fail("verify needs --journal and/or --checkpoint");
   }
   bool corrupt = false;
 
   if (journal_path) {
     auto journal = flight::load_journal(*journal_path);
-    if (!journal) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
+    if (!journal) return tool::fail(journal.error());
     std::printf("journal %s: %zu events, %zu corrupt line%s, %zu malformed%s\n",
                 journal_path->c_str(), journal->events.size(), journal->corrupt_lines,
                 journal->corrupt_lines == 1 ? "" : "s", journal->malformed_lines,
@@ -77,10 +74,7 @@ int run_verify(const std::optional<std::string>& journal_path,
 
   if (checkpoint_path) {
     auto report = guard::chain_verify(*checkpoint_path);
-    if (!report) {
-      std::fprintf(stderr, "%s\n", report.error().to_string().c_str());
-      return 2;
-    }
+    if (!report) return tool::fail(report.error().to_string());
     std::printf("checkpoint %s: %zu generation%s, %zu valid, %zu quarantined\n",
                 checkpoint_path->c_str(), report->generations,
                 report->generations == 1 ? "" : "s", report->valid, report->quarantined);
@@ -106,10 +100,7 @@ int run_follow(const std::string& journal_path, std::int64_t poll_ms,
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms < 1 ? 1 : poll_ms));
     }
     auto polled = tailer.poll();
-    if (!polled) {
-      std::fprintf(stderr, "%s\n", polled.error().c_str());
-      return 2;
-    }
+    if (!polled) return tool::fail(polled.error());
     if (polled->rotated) std::fprintf(stderr, "journal rotated; restarting from 0\n");
     for (const flight::JournalEvent& e : polled->events) {
       std::printf("%s\n", flight::render_event(e).c_str());
@@ -125,8 +116,7 @@ int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad : args.unknown({"journal", "flight", "out", "last", "checkpoint",
                                        "follow", "poll-ms", "max-polls"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   if (args.positional().size() != 1) return usage();
   const std::string& command = args.positional().front();
@@ -141,19 +131,13 @@ int main(int argc, char** argv) {
   }
 
   const auto journal_path = args.get("journal");
-  if (!journal_path) {
-    std::fprintf(stderr, "--journal FILE is required\n");
-    return 2;
-  }
+  if (!journal_path) return tool::fail("--journal FILE is required");
   if (command == "tail" && args.has("follow")) {
     return run_follow(*journal_path, args.get_or("poll-ms", std::int64_t{200}),
                       args.get_or("max-polls", std::int64_t{0}));
   }
   auto journal = flight::load_journal(*journal_path);
-  if (!journal) {
-    std::fprintf(stderr, "%s\n", journal.error().c_str());
-    return 2;
-  }
+  if (!journal) return tool::fail(journal.error());
 
   if (command == "summarize") {
     std::fputs(flight::summarize(*journal).c_str(), stdout);
@@ -167,25 +151,16 @@ int main(int argc, char** argv) {
 
   // export
   const auto out_path = args.get("out");
-  if (!out_path) {
-    std::fprintf(stderr, "export requires --out FILE\n");
-    return 2;
-  }
+  if (!out_path) return tool::fail("export requires --out FILE");
   std::vector<obs::FlightThreadSnapshot> threads;
   if (const auto flight_path = args.get("flight")) {
     auto loaded = flight::load_flight_dump(*flight_path);
-    if (!loaded) {
-      std::fprintf(stderr, "%s\n", loaded.error().c_str());
-      return 2;
-    }
+    if (!loaded) return tool::fail(loaded.error());
     threads = std::move(*loaded);
   }
   const std::string trace = flight::chrome_trace(*journal, threads);
   std::ofstream out(*out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-    return 2;
-  }
+  if (!out) return tool::fail("cannot write " + *out_path);
   out << trace;
   std::fprintf(stderr, "wrote %s (%zu journal events, %zu threads)\n", out_path->c_str(),
                journal->events.size(), threads.size());

@@ -48,31 +48,20 @@
 
 #include <unistd.h>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/chaos/scenario.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/core/rng.hpp"
 #include "ranycast/guard/cli.hpp"
 #include "ranycast/guard/sweep.hpp"
 #include "ranycast/io/config.hpp"
-#include "ranycast/obs/flight.hpp"
 #include "ranycast/obs/journal.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/serve/server.hpp"
-#include "ranycast/tangled/testbed.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
 
 namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -229,8 +218,7 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
   AnswerLog answers;
   const std::string answers_path = args.get_or("answers", std::string());
   if (!answers_path.empty() && !answers.open(answers_path, args.has("resume"))) {
-    std::fprintf(stderr, "cannot open answers file '%s'\n", answers_path.c_str());
-    return 2;
+    return tool::fail("cannot open answers file '" + answers_path + "'");
   }
 
   if (args.has("abort-at")) {
@@ -245,10 +233,7 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
   }
 
   auto guarded = guard::bind_guard_flags(args);
-  if (!guarded) {
-    std::fprintf(stderr, "%s\n", guarded.error().c_str());
-    return 2;
-  }
+  if (!guarded) return tool::fail(guarded.error());
   guard::CheckpointPolicy& policy = guarded->policy;
   policy.kind = guard::CheckpointKind::ServeState;
 
@@ -303,24 +288,12 @@ int run_drive(const flags::Parser& args, lab::Lab& laboratory,
   fingerprint = hash_combine(fingerprint, knobs.budget_us);
 
   auto outcome = guard::run_sweep(knobs.ticks, fingerprint, supervisor, policy, hooks);
-  if (!outcome) {
-    std::fprintf(stderr, "serve error: %s\n", outcome.error().to_string().c_str());
-    return 2;
-  }
+  if (!outcome) return tool::fail("serve error: " + outcome.error().to_string());
   answers.flush();
-  if (outcome->resumed) {
-    std::fprintf(stderr, "[guard] resumed from %s at tick %zu/%zu\n", policy.path.c_str(),
-                 outcome->resumed_from, outcome->total);
-  }
+  tool::note_sweep(*outcome, policy.path, "tick");
   journal_summary(server, outcome->completed, knobs.ticks);
   print_summary(server);
-  if (!outcome->complete()) {
-    std::fprintf(stderr, "[guard] stopped (%s): completed %zu of %zu ticks\n",
-                 std::string(guard::to_string(outcome->stopped)).c_str(),
-                 outcome->completed, outcome->total);
-    return 3;
-  }
-  return 0;
+  return outcome->complete() ? 0 : 3;
 }
 
 int run_live(const flags::Parser& args, lab::Lab& laboratory,
@@ -390,8 +363,7 @@ int main(int argc, char** argv) {
             "config",   "stubs",         "probes",         "seed",
             "answers",  "journal",       "obs",            "abort-at",
             "abort-epoch",               "duration-ms",    "threads"}))) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   if (args.positional().size() != 1) return usage();
   const std::string& command = args.positional().front();
@@ -403,75 +375,31 @@ int main(int argc, char** argv) {
   chaos::FaultPlan world_plan;
   if (const auto scenario_path = args.get("scenario")) {
     auto scenario_json = io::load_json(*scenario_path);
-    if (!scenario_json) {
-      std::fprintf(stderr, "scenario error: %s\n",
-                   scenario_json.error().to_string().c_str());
-      return 2;
-    }
+    if (!scenario_json) return tool::fail("scenario error: " + scenario_json.error().to_string());
     auto plan = chaos::plan_from_json(*scenario_json, *scenario_path);
-    if (!plan) {
-      std::fprintf(stderr, "scenario error: %s\n", plan.error().to_string().c_str());
-      return 2;
-    }
+    if (!plan) return tool::fail("scenario error: " + plan.error().to_string());
     world_plan = std::move(*plan);
   }
 
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
 
-  const std::string journal_path = args.get_or("journal", std::string());
-  if (args.has("obs") || !journal_path.empty()) obs::set_enabled(true);
-  obs::set_thread_name("main");
+  const auto config = tool::bind_lab_flags(args);
+  if (!config) return tool::fail(config.error());
+  tool::RunJournal journal;
+  if (const auto err = journal.open(args)) return tool::fail(*err);
   obs::MetricsRegistry::global().set_label("tool", "ranycast-serve");
 
-  obs::Journal journal;
-  if (!journal_path.empty()) {
-    // A fresh run starts a fresh journal; --resume appends to the previous
-    // attempt's (run_sweep writes the explicit resume marker).
-    if (!journal.open(journal_path, /*append=*/args.has("resume"))) {
-      std::fprintf(stderr, "%s\n", journal.error().c_str());
-      return 2;
-    }
-    obs::set_journal(&journal);
-  }
-
-  lab::LabConfig config;
-  if (const auto path = args.get("config")) {
-    auto loaded = io::load_config(*path);
-    if (!loaded) {
-      std::fprintf(stderr, "config error: %s\n", loaded.error().to_string().c_str());
-      return 2;
-    }
-    config = std::move(*loaded);
-  }
-  if (args.has("stubs")) {
-    config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  }
-  if (args.has("probes")) {
-    config.census.total_probes =
-        static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  }
-  if (args.has("seed")) {
-    config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  }
-  if (auto err = io::validate_lab_config(config)) {
-    std::fprintf(stderr, "config error: %s\n", err->to_string().c_str());
-    return 2;
-  }
-
-  const ServeKnobs knobs = knobs_from_flags(args, std::move(world_plan), config.seed);
+  const ServeKnobs knobs = knobs_from_flags(args, std::move(world_plan), config->seed);
 
   obs::journal_event("run_manifest",
                      {{"tool", "ranycast-serve"},
                       {"mode", command},
                       {"cdn", cdn_name},
-                      {"stubs", static_cast<std::uint64_t>(config.world.stub_count)},
-                      {"probes", static_cast<std::uint64_t>(config.census.total_probes)},
-                      {"seed", config.seed},
+                      {"stubs", static_cast<std::uint64_t>(config->world.stub_count)},
+                      {"probes", static_cast<std::uint64_t>(config->census.total_probes)},
+                      {"seed", config->seed},
                       {"ticks", knobs.ticks},
                       {"tick_ns", knobs.tick_ns},
                       {"queries_per_tick", knobs.queries_per_tick},
@@ -482,15 +410,12 @@ int main(int argc, char** argv) {
                      /*durable=*/true);
 
   obs::journal_event("phase_begin", {{"phase", "lab.build"}});
-  auto laboratory = lab::Lab::create(config);
+  auto laboratory = lab::Lab::create(*config);
   const auto& handle = laboratory.add_deployment(*spec);
   obs::journal_event("phase_end", {{"phase", "lab.build"}}, /*durable=*/true);
 
   const int rc = command == "drive" ? run_drive(args, laboratory, handle, knobs)
                                     : run_live(args, laboratory, handle, knobs);
-  if (obs::journal() != nullptr) {
-    obs::journal()->sync();
-    obs::set_journal(nullptr);
-  }
+  if (const auto err = journal.close()) return tool::fail(*err);
   return rc;
 }

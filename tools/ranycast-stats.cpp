@@ -11,56 +11,38 @@
 // trace events (trace). See docs/observability.md for both schemas.
 #include <cstdio>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/lab/lab.hpp"
 #include "ranycast/obs/metrics.hpp"
 #include "ranycast/obs/report.hpp"
-#include "ranycast/tangled/testbed.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
-
-namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad :
        args.unknown({"stubs", "probes", "cdn", "seed", "pings", "format"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   const std::string format = args.get_or("format", std::string("report"));
   if (format != "report" && format != "trace") {
-    std::fprintf(stderr, "unknown format '%s' (report|trace)\n", format.c_str());
-    return 2;
+    return tool::fail("unknown format '" + format + "' (report|trace)");
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
 
   obs::set_enabled(true);
   obs::MetricsRegistry::global().set_label("tool", "ranycast-stats");
   obs::MetricsRegistry::global().set_label("cdn", cdn_name);
 
-  lab::LabConfig config;
-  config.world.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{1200}));
-  config.census.total_probes = static_cast<int>(args.get_or("probes", std::int64_t{5000}));
-  config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  auto laboratory = lab::Lab::create(config);
+  lab::LabConfig defaults;
+  defaults.world.stub_count = 1200;
+  defaults.census.total_probes = 5000;
+  const auto config = tool::bind_lab_flags(args, defaults);
+  if (!config) return tool::fail(config.error());
+  auto laboratory = lab::Lab::create(*config);
   const auto& handle = laboratory.add_deployment(*spec);
 
   const auto retained = laboratory.census().retained();

@@ -5,12 +5,14 @@
 //   summary  population and connectivity statistics (default)
 //   dot      Graphviz digraph of the transit hierarchy (stubs omitted)
 //   csv      one row per AS: asn,kind,home,country,international,degree
+#include <climits>
 #include <cstdio>
 #include <iostream>
 
 #include "ranycast/analysis/export.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/topo/generator.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
 
@@ -104,12 +106,14 @@ void print_csv(const topo::World& world) {
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad : args.unknown({"seed", "stubs", "format"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   topo::GeneratorParams params;
-  params.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{42}));
-  params.stub_count = static_cast<int>(args.get_or("stubs", std::int64_t{2600}));
+  const auto seed = tool::uint_flag(args, "seed", UINT64_MAX);
+  const auto stubs = tool::uint_flag(args, "stubs", INT_MAX);
+  if (!seed || !stubs) return tool::fail((!seed ? seed : stubs).error());
+  params.seed = seed->value_or(params.seed);
+  params.stub_count = static_cast<int>(stubs->value_or(params.stub_count));
   const topo::World world = topo::generate_world(params);
 
   const std::string format = args.get_or("format", std::string("summary"));

@@ -8,55 +8,34 @@
 // an interactive tool.
 #include <cstdio>
 
-#include "ranycast/cdn/catalog.hpp"
 #include "ranycast/core/flags.hpp"
 #include "ranycast/lab/lab.hpp"
-#include "ranycast/tangled/testbed.hpp"
+#include "tool_cli.hpp"
 
 using namespace ranycast;
-
-namespace {
-
-std::optional<cdn::DeploymentSpec> spec_by_name(const std::string& name) {
-  if (name == "imperva6") return cdn::catalog::imperva6();
-  if (name == "imperva-ns") return cdn::catalog::imperva_ns();
-  if (name == "edgio3") return cdn::catalog::edgio3();
-  if (name == "edgio4") return cdn::catalog::edgio4();
-  if (name == "tangled") return tangled::global_spec();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const flags::Parser args(argc, argv);
   for (const auto& bad : args.unknown({"cdn", "probe-city", "count", "mode", "seed"})) {
-    std::fprintf(stderr, "unknown flag --%s\n", bad.c_str());
-    return 2;
+    return tool::fail("unknown flag --" + bad);
   }
   const std::string cdn_name = args.get_or("cdn", std::string("imperva6"));
-  const auto spec = spec_by_name(cdn_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown CDN '%s'\n", cdn_name.c_str());
-    return 2;
-  }
+  const auto spec = tool::spec_by_name(cdn_name);
+  if (!spec) return tool::fail("unknown CDN '" + cdn_name + "'");
   const auto mode = args.get_or("mode", std::string("ldns")) == "adns" ? dns::QueryMode::Adns
                                                                        : dns::QueryMode::Ldns;
   const auto count = static_cast<std::size_t>(args.get_or("count", std::int64_t{3}));
 
-  lab::LabConfig config;
-  config.seed = static_cast<std::uint64_t>(args.get_or("seed", std::int64_t{2023}));
-  auto laboratory = lab::Lab::create(config);
+  const auto config = tool::bind_lab_flags(args);
+  if (!config) return tool::fail(config.error());
+  auto laboratory = lab::Lab::create(*config);
   const auto& gaz = geo::Gazetteer::world();
   const auto& handle = laboratory.add_deployment(*spec);
 
   std::optional<CityId> filter;
   if (const auto city = args.get("probe-city")) {
     filter = gaz.find_by_iata(*city);
-    if (!filter) {
-      std::fprintf(stderr, "unknown city '%s'\n", city->c_str());
-      return 2;
-    }
+    if (!filter) return tool::fail("unknown city '" + *city + "'");
   }
 
   std::size_t shown = 0;
